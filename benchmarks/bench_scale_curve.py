@@ -1,27 +1,18 @@
-"""Scale tier: streamed-pipeline memory and sharded-simulation speed.
+"""Scale tier: streamed-pipeline memory against the materialized oracle.
 
-Two measurements on one RM-family benchmark graph, each taken in a
+One measurement on one RM-family benchmark graph, each mode taken in a
 *child interpreter* so ``ru_maxrss`` is an honest per-mode peak rather
-than whatever this process touched earlier:
+than whatever this process touched earlier: the materialized child runs
+:func:`repro.sim.simulate_spmv` (full trace in memory), the streamed
+child runs :func:`repro.sim.simulate_spmv_streamed` (bounded chunks).
+The ratio gate (< 0.4) applies once the graph is big enough that the
+trace, not the interpreter, dominates the materialized peak
+(``_RSS_GATE_MIN_EDGES``); below that the ratio is recorded but not
+gated.  The streamed peak must also stay under an absolute ceiling.
 
-1. **Peak RSS, streamed vs materialized** — the materialized child runs
-   :func:`repro.sim.simulate_spmv` (full trace in memory), the streamed
-   child runs :func:`repro.sim.simulate_spmv_streamed` (bounded chunks).
-   The ratio gate (< 0.4) applies once the graph is big enough that the
-   trace, not the interpreter, dominates the materialized peak
-   (``_RSS_GATE_MIN_EDGES``); below that the ratio is recorded but not
-   gated.
-2. **Wall-clock, 4-way sharded vs single-process** — both streamed; the
-   sharded child uses ``shard_mode="process"``.  The >= 1.3x gate
-   applies only with >= 4 cores *and* >= ``_RSS_GATE_MIN_EDGES`` edges
-   (``applicable`` records the decision) — process sharding on one core
-   is pure overhead by design, and below acceptance size the serial
-   trace-generation share caps the speedup by Amdahl regardless of
-   cores.
-
-Every child also reports its headline counters, and the parent asserts
-all modes agree bit-exactly — the speed/memory numbers are only
-meaningful because the answers are identical.
+Every child also reports its headline counters and wall-clock, and the
+parent asserts both modes agree bit-exactly — the memory numbers are
+only meaningful because the answers are identical.
 
 The payload additionally carries the ``scale_curve`` experiment's
 ladder (miss rate / mean AID / effective diameter vs. size), so
@@ -70,7 +61,7 @@ _RSS_GATE_MIN_EDGES = 4_000_000
 _RSS_CEILING_BASE = 400 << 20
 _RSS_CEILING_PER_EDGE = 120
 
-_MODES = ("materialized", "streamed", "sharded4")
+_MODES = ("materialized", "streamed")
 
 
 def _child_main(mode: str, graph_path: str) -> None:
@@ -93,10 +84,6 @@ def _child_main(mode: str, graph_path: str) -> None:
         result = simulate_spmv(graph, config)
     elif mode == "streamed":
         result = simulate_spmv_streamed(graph, config)
-    elif mode == "sharded4":
-        result = simulate_spmv_streamed(
-            graph, config, num_shards=4, shard_mode="process"
-        )
     else:
         raise ValueError(f"unknown child mode {mode!r}")
     seconds = time.perf_counter() - t0
@@ -156,21 +143,10 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
     )
     rss_applicable = num_edges >= _RSS_GATE_MIN_EDGES
     rss_ceiling = _RSS_CEILING_BASE + _RSS_CEILING_PER_EDGE * num_edges
-    speedup = modes["streamed"]["seconds"] / modes["sharded4"]["seconds"]
     cores = os.cpu_count() or 1
-    # Below ~4M edges the coordinator's serial share (trace gen +
-    # interleave, ~17% of the streamed wall at 10^6) caps the best
-    # 4-way speedup under the gate by Amdahl alone; the gate is only
-    # meaningful where replay dominates.  A waived gate must say so out
-    # loud: each inapplicable gate records an explicit ``waived`` reason
-    # so BENCH_scale.json (and the CI step summary) never silently
-    # passes on a box that could not exercise the gate.
-    speedup_applicable = cores >= 4 and num_edges >= _RSS_GATE_MIN_EDGES
-    speedup_waived = None
-    if cores < 4:
-        speedup_waived = f"{cores} core(s) < 4"
-    elif num_edges < _RSS_GATE_MIN_EDGES:
-        speedup_waived = f"{num_edges} edges < {_RSS_GATE_MIN_EDGES}"
+    # A waived gate must say so out loud: an inapplicable gate records
+    # an explicit ``waived`` reason so BENCH_scale.json (and the CI step
+    # summary) never silently passes on a box that could not exercise it.
     rss_waived = (
         None
         if rss_applicable
@@ -194,7 +170,7 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
     payload = {
         "bench": "scale_curve",
         "description": (
-            "scale-tier streamed/sharded simulation: per-mode child peak "
+            "scale-tier streamed simulation: per-mode child peak "
             "RSS and wall-clock on one RM-family graph, plus the "
             "locality-vs-scale ladder (miss rate / AID / effective "
             "diameter vs. size)"
@@ -226,24 +202,11 @@ def run_bench(num_vertices: int = _DEFAULT_VERTICES) -> dict:
                 ),
             },
             "rss_ceiling": {
-                "value": modes["sharded4"]["peak_rss_bytes"],
+                "value": modes["streamed"]["peak_rss_bytes"],
                 "threshold": rss_ceiling,
                 "applicable": True,
-                "holds": modes["sharded4"]["peak_rss_bytes"] < rss_ceiling
-                and modes["streamed"]["peak_rss_bytes"] < rss_ceiling,
-                "note": "coordinator peak stays O(graph + chunk), never O(trace)",
-            },
-            "shard_speedup": {
-                "value": speedup,
-                "threshold": 1.3,
-                "applicable": speedup_applicable,
-                "waived": speedup_waived,
-                "holds": speedup >= 1.3,
-                "note": (
-                    "streamed single-process seconds / sharded4 process-mode "
-                    "seconds; gated only with >= 4 cores on a big-enough "
-                    "graph (replay must dominate the serial trace gen)"
-                ),
+                "holds": modes["streamed"]["peak_rss_bytes"] < rss_ceiling,
+                "note": "streamed peak stays O(graph + chunk), never O(trace)",
             },
         },
         "curve": curve,
@@ -305,8 +268,8 @@ def _report(payload: dict) -> str:
 def gate_summary_lines(payload: dict) -> "list[str]":
     """One markdown line per gate, for the CI step summary.
 
-    Waived gates surface their reason (``[waived: 2 core(s) < 4]``)
-    instead of reading like passes.
+    Waived gates surface their reason (``[waived: 1048576 edges <
+    4000000]``) instead of reading like passes.
     """
     lines = []
     for name, gate in payload["gates"].items():
@@ -327,18 +290,16 @@ def write_json(payload: dict, path: Path = _OUTPUT) -> None:
 def _assert_gates(payload: dict) -> None:
     """The CI contract for the scale tier.
 
-    Bit-exactness always holds; the RSS ratio and shard speedup gates
-    are enforced only where they are meaningful (big-enough graph,
-    enough cores) — their ``applicable`` flags record the decision so
-    the JSON shows *why* a gate was waived.
+    Bit-exactness and the RSS ceiling always hold; the RSS ratio gate
+    is enforced only where it is meaningful (big-enough graph) — its
+    ``applicable`` flag records the decision so the JSON shows *why* it
+    was waived.
     """
     gates = payload["gates"]
     assert gates["bit_exact"]["holds"], payload["modes"]
     assert gates["rss_ceiling"]["holds"], gates["rss_ceiling"]
     if gates["rss_ratio"]["applicable"]:
         assert gates["rss_ratio"]["holds"], gates["rss_ratio"]
-    if gates["shard_speedup"]["applicable"]:
-        assert gates["shard_speedup"]["holds"], gates["shard_speedup"]
 
 
 def test_scale_tier_gates(benchmark):

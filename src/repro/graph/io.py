@@ -99,7 +99,8 @@ def save_graph_npz(
     ``compressed=None`` (default) compresses small graphs and stores
     scale-tier graphs (payload above ``MMAP_SIZE_THRESHOLD``) raw, so
     :func:`load_graph_npz` can rehydrate them with ``mmap_mode="r"`` —
-    shard workers then share one page cache instead of N heap copies.
+    processes opening the same file share one page cache instead of N
+    heap copies.
     """
     arrays = {
         "out_offsets": graph.out_adj.offsets,
@@ -207,7 +208,7 @@ def load_graph_npz(
     """Load a graph previously written by :func:`save_graph_npz`.
 
     ``mmap_mode="r"`` memory-maps the CSR/CSC arrays instead of reading
-    them onto the heap: N shard workers opening the same artifact share
+    them onto the heap: N processes opening the same artifact share
     one page-cached copy, and untouched regions never materialize.
     Structural validation is skipped on this path (the arrays were
     validated at save time and the store checksums payloads); the only

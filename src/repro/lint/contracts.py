@@ -4,8 +4,8 @@ The whole-program effect analyzer (:mod:`repro.lint.effects`) infers,
 for every function in the project, which determinism-relevant effects
 it can perform — wall-clock reads, unseeded RNG draws, environment
 reads, filesystem writes, and so on.  Most functions must infer to
-*no* effects when they sit inside a memoized pipeline stage or a shard
-worker; the handful that legitimately perform one (the store's
+*no* effects when they sit inside a memoized pipeline stage or a
+worker-pool job; the handful that legitimately perform one (the store's
 ``duration_s`` provenance clock, the ``REPRO_SCALE`` read whose value
 is itself fingerprinted into every content key) declare it **at the
 use site**:

@@ -47,8 +47,8 @@ FunctionId = Tuple[str, str]
 def module_dotted(relpath: str) -> str:
     """Dotted module path of a project-relative ``.py`` file.
 
-    A leading ``src/`` component is stripped so ``src/repro/sim/shard.py``
-    resolves imports of ``repro.sim.shard``; ``__init__.py`` names the
+    A leading ``src/`` component is stripped so ``src/repro/sim/cache.py``
+    resolves imports of ``repro.sim.cache``; ``__init__.py`` names the
     package itself.
     """
     parts = relpath.split("/")

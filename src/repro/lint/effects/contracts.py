@@ -7,8 +7,8 @@ Contract roots come from two places:
   store assumes it is a pure function of its fingerprinted inputs;
 * ``[tool.repro-lint]`` lists additional roots by
   ``relpath::qualname`` — ``effects-deterministic`` for RL006 (the memo
-  wrapper itself) and ``effects-replay-safe`` for RL007 (shard worker
-  entry points, which additionally must not write shared state).
+  wrapper itself) and ``effects-replay-safe`` for RL007 (worker-pool
+  job entry points, which additionally must not write shared state).
 
 A config entry naming a file outside the analyzed set is skipped (so
 fixture projects run with the repo defaults), but an entry naming a
@@ -146,9 +146,10 @@ def evaluate_contracts(
                 "RL007",
                 fid,
                 effect,
-                f"shard worker {fid[1]!r} can reach effect '{effect}' — "
-                "workers must be replay-safe (serial≡process bit-exactness "
-                "leaves no channel for nondeterminism or shared writes)",
+                f"worker job {fid[1]!r} can reach effect '{effect}' — "
+                "worker jobs must be replay-safe (a re-run must be "
+                "undetectable, so nondeterminism and shared writes need "
+                "an audited @declares_effects carve-out)",
             )
 
     annotated = 0

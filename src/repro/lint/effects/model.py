@@ -72,9 +72,9 @@ def mask_names(mask: int) -> Tuple[str, ...]:
 #: stage is a pure function of its fingerprinted inputs.
 DETERMINISTIC_FORBIDDEN: int = mask_of("time", "rng-unseeded", "env-read")
 
-#: Shard worker entry points additionally must not write shared state:
-#: the serial≡process bit-exactness contract of ``repro.sim.shard``
-#: leaves no channel through which a write could be replayed.
+#: Worker-pool job entry points additionally must not write shared
+#: state undeclared: re-running a job must be undetectable, so every
+#: write has to be an audited, idempotent carve-out.
 REPLAY_SAFE_FORBIDDEN: int = DETERMINISTIC_FORBIDDEN | mask_of(
     "fs-write", "global-mutate"
 )
@@ -85,7 +85,7 @@ REPLAY_SAFE_FORBIDDEN: int = DETERMINISTIC_FORBIDDEN | mask_of(
 #: folds them into ``--list-rules`` and the severity/disable config.
 EFFECT_RULES: Dict[str, Tuple[str, str]] = {
     "RL006": ("nondeterministic-cached-stage", "error"),
-    "RL007": ("impure-shard-worker", "error"),
+    "RL007": ("impure-worker-job", "error"),
     "RL008": ("undeclared-effect-escalation", "error"),
 }
 

@@ -9,14 +9,13 @@ across workers, requests, or server restarts resolve to warm artifacts
 with zero recomputation.
 
 The entry point is listed under ``effects-replay-safe`` in
-``[tool.repro-lint]``, so RL007 audits it like the shard workers:
-re-running a job must be undetectable.  The effects it reaches are
-declared on :func:`_run_pipeline` and are replay-safe by construction:
-store writes are content-addressed and atomic (a re-run rewrites
-identical bytes), clock readings land only in provenance sidecars and
-manifests, the single environment read (``REPRO_SCALE``) participates
-in every content key, and the uuid draws name scratch files and run
-ids only.
+``[tool.repro-lint]``, so RL007 audits it: re-running a job must be
+undetectable.  The effects it reaches are declared on
+:func:`_run_pipeline` and are replay-safe by construction: store
+writes are content-addressed and atomic (a re-run rewrites identical
+bytes), clock readings land only in provenance sidecars and manifests,
+the single environment read (``REPRO_SCALE``) participates in every
+content key, and the uuid draws name scratch files and run ids only.
 """
 
 from __future__ import annotations
@@ -300,7 +299,7 @@ def _run_pipeline(workloads: Workloads, job: Dict[str, Any]) -> Dict[str, Any]:
     provenance clocks and scratch-file tokens; ``env-read`` is
     ``REPRO_SCALE``, fingerprinted into every key; the remaining bits
     are the simulator's internal bookkeeping, bit-exact by the
-    kernel-equivalence and shard property suites.
+    kernel-equivalence and streamed-pipeline property suites.
     """
     kind = job["kind"]
     if kind == "reorder":

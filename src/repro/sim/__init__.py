@@ -28,7 +28,6 @@ from repro.sim.parallel import (
     partition_edge_counts,
 )
 from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_stealing
-from repro.sim.shard import ShardedSimulation, shard_set_ranges, simulate_sharded
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
@@ -72,9 +71,6 @@ __all__ = [
     "ScheduleResult",
     "chunk_costs",
     "simulate_work_stealing",
-    "ShardedSimulation",
-    "shard_set_ranges",
-    "simulate_sharded",
     "SimulationConfig",
     "SimulationResult",
     "StreamedSimulationResult",

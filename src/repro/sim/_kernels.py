@@ -153,12 +153,19 @@ def _debug_enabled() -> bool:
 def kernel_mode(explicit: str = "auto") -> str:
     """Resolve the dispatch mode: the env var is the escape hatch.
 
+    A set but unknown env value raises rather than falling back to
+    ``explicit``, so a typo cannot silently select the wrong path.
+
     Declared carve-out: the env var only selects *which* bit-exact
     implementation runs — kernels and the reference loop are lockstep
     twins, so the read can never change simulated state or artifacts.
     """
     env = os.environ.get(MODE_ENV, "").strip().lower()
-    if env in _MODES:
+    if env:
+        if env not in _MODES:
+            raise SimulationError(
+                f"{MODE_ENV}={env!r} is not a kernel mode; expected one of {_MODES}"
+            )
         return env
     if explicit in _MODES:
         return explicit
@@ -946,16 +953,12 @@ def kernel_simulate(
     cache: SetAssociativeCache,
     lines: np.ndarray,
     scan_interval: int,
-    positions: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]]:
     """Kernel-path replacement for ``SetAssociativeCache.simulate``.
 
     Returns ``(hits, snapshots)`` and mutates the cache state exactly as
     the reference loop would, or ``None`` if the kernel declined (caller
     must then run the reference loop on the *unmodified* cache).
-    ``positions`` optionally overrides the lifetime access positions the
-    BRRIP/DRRIP draws are keyed on (sharded replay of a masked global
-    stream; see :meth:`SetAssociativeCache.simulate`).
     """
     config = cache.config
     policy = config.policy
@@ -964,7 +967,7 @@ def kernel_simulate(
 
     with _obs_span("sim.kernel", policy=policy, accesses=n) as sp:
         result = _kernel_simulate_inner(
-            cache, lines, scan_interval, policy, num_sets, ways, n, positions
+            cache, lines, scan_interval, policy, num_sets, ways, n
         )
         if result is None:
             sp.set(declined=True)
@@ -980,7 +983,6 @@ def _kernel_simulate_inner(
     num_sets: int,
     ways: int,
     n: int,
-    positions: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]]:
     state_tags, state_rrpv = _state_arrays(cache)
     psel = cache._psel
@@ -989,12 +991,9 @@ def _kernel_simulate_inner(
         # Per-access bimodal draws for the whole batch, keyed by the
         # cache's lifetime access position (bit-exact with the scalar
         # and reference paths by construction — same hash, same keys).
-        if positions is not None:
-            long_all: Optional[np.ndarray] = _draws.long_inserts_at(
-                cache._draw_key, positions
-            )
-        else:
-            long_all = _draws.long_inserts(cache._draw_key, pos0, n)
+        long_all: Optional[np.ndarray] = _draws.long_inserts(
+            cache._draw_key, pos0, n
+        )
     else:
         long_all = None
     if policy == "drrip":
@@ -1005,8 +1004,11 @@ def _kernel_simulate_inner(
     hits = np.empty(n, dtype=np.uint8)
     snapshots: List[Tuple[int, np.ndarray]] = []
 
+    # Segments end where the *lifetime* position crosses a multiple of
+    # scan_interval, matching the reference loop's snapshot points.
     if scan_interval:
-        seg_edges = list(range(0, n, scan_interval)) + [n]
+        first = scan_interval - pos0 % scan_interval
+        seg_edges = [0, *range(first, n, scan_interval), n]
     else:
         seg_edges = [0, n]
 
@@ -1029,15 +1031,13 @@ def _kernel_simulate_inner(
                 return None
             seg_hits, state_tags, state_rrpv, psel = res
         hits[lo:hi] = seg_hits
-        if scan_interval and hi % scan_interval == 0:
-            snapshots.append((hi, _resident_from_state(state_tags, num_sets)))
+        if scan_interval and (pos0 + hi) % scan_interval == 0:
+            snapshots.append(
+                (pos0 + hi, _resident_from_state(state_tags, num_sets))
+            )
 
     # Reference LRU never touches RRPV state; keep it bit-identical.
     _write_state(cache, state_tags, state_rrpv if policy != "lru" else None)
     cache._psel = psel
-    if positions is not None:
-        if n:
-            cache._access_pos = int(positions[-1]) + 1
-    else:
-        cache._access_pos = pos0 + n
+    cache._access_pos = pos0 + n
     return hits, snapshots

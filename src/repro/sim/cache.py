@@ -213,15 +213,9 @@ class SetAssociativeCache:
         rr[victim] = insert
         return False
 
-    def resident_lines(self, set_range: "tuple[int, int] | None" = None) -> np.ndarray:
-        """IDs of currently resident lines (set-major order, no invalids).
-
-        ``set_range`` restricts the report to sets ``[lo, hi)`` — the
-        sharded simulation asks each worker for its *owned* range only,
-        so replicated leader sets never leak into merged snapshots.
-        """
-        sets = self._tags if set_range is None else self._tags[set_range[0] : set_range[1]]
-        flat = [t for ways in sets for t in ways if t >= 0]
+    def resident_lines(self) -> np.ndarray:
+        """IDs of currently resident lines (set-major order, no invalids)."""
+        flat = [t for ways in self._tags for t in ways if t >= 0]
         return np.asarray(flat, dtype=np.int64)
 
     # -- bulk simulation -------------------------------------------------------
@@ -232,7 +226,6 @@ class SetAssociativeCache:
         *,
         scan_interval: int = 0,
         kernel: str = "auto",
-        positions: "np.ndarray | None" = None,
     ) -> "SimulatedAccesses":
         """Run the trace through the cache, mutating its state.
 
@@ -241,32 +234,22 @@ class SetAssociativeCache:
         lines:
             int64 array of line IDs in program order.
         scan_interval:
-            When positive, snapshot resident lines every that many
-            accesses (used by the ECS metric).
+            When positive, snapshot resident lines after every access
+            whose lifetime position (``_access_pos`` after the access) is
+            a multiple of ``scan_interval`` (used by the ECS metric).
+            Each snapshot's ``access_index`` is that lifetime position,
+            so replaying a trace in consecutive chunks yields exactly the
+            snapshots of one call over the whole trace.
         kernel:
             Dispatch mode: ``"auto"`` (default) picks the vectorized
             kernel path when it is applicable and likely faster,
             ``"kernel"`` forces it whenever structurally possible, and
             ``"reference"`` forces the per-access loop.  The
             ``REPRO_SIM_KERNEL`` environment variable overrides this
-            argument (escape hatch); both paths are bit-exact.
-        positions:
-            Explicit lifetime access positions (int64, one per line,
-            strictly increasing).  By default the cache numbers accesses
-            with its own lifetime counter; a sharded replay passes the
-            *global* stream positions of its masked subsequence so the
-            BRRIP/DRRIP draws match the single-process replay bit-exactly
-            (see :mod:`repro.sim.shard`).  After the call ``_access_pos``
-            advances to ``positions[-1] + 1``.
+            argument (escape hatch; an unknown value raises
+            :class:`SimulationError`); both paths are bit-exact.
         """
         lines = np.asarray(lines, dtype=np.int64)
-        if positions is not None:
-            positions = np.asarray(positions, dtype=np.int64)
-            if positions.shape[0] != lines.shape[0]:
-                raise SimulationError(
-                    "positions must have one entry per access, got "
-                    f"{positions.shape[0]} for {lines.shape[0]} accesses"
-                )
         # One guarded per-batch increment; the per-access loops below
         # stay uninstrumented so the disabled path is untouched.
         if _obs_enabled():
@@ -276,9 +259,7 @@ class SetAssociativeCache:
             if mode == "kernel" or _kernels.kernel_profitable(
                 self.config, lines, scan_interval
             ):
-                res = _kernels.kernel_simulate(
-                    self, lines, scan_interval, positions=positions
-                )
+                res = _kernels.kernel_simulate(self, lines, scan_interval)
                 if res is not None:
                     hits, raw_snaps = res
                     if _obs_enabled():
@@ -298,16 +279,14 @@ class SetAssociativeCache:
                 _warn_kernel_fallback(self.config.policy, mode)
         if _obs_enabled():
             _obs_metrics.registry.counter("cache.reference_batches").inc()
-        return self._simulate_reference(lines, scan_interval, positions)
+        return self._simulate_reference(lines, scan_interval)
 
     def _simulate_reference(
-        self,
-        lines: np.ndarray,
-        scan_interval: int = 0,
-        positions: "np.ndarray | None" = None,
+        self, lines: np.ndarray, scan_interval: int = 0
     ) -> "SimulatedAccesses":
         """The original per-access loop — kept as the bit-exact oracle."""
         num_accesses = lines.shape[0]
+        pos0 = self._access_pos
         hits = np.zeros(num_accesses, dtype=np.uint8)
         snapshots: list[CacheSnapshot] = []
         policy = self.config.policy
@@ -329,8 +308,10 @@ class SetAssociativeCache:
                 else:
                     del ts[0]
                     ts.append(line)
-                if scan_interval and (i + 1) % scan_interval == 0:
-                    snapshots.append(CacheSnapshot(i + 1, self.resident_lines()))
+                if scan_interval and (pos0 + i + 1) % scan_interval == 0:
+                    snapshots.append(
+                        CacheSnapshot(pos0 + i + 1, self.resident_lines())
+                    )
         else:
             srrip_only = policy == "srrip"
             brrip_only = policy == "brrip"
@@ -339,13 +320,9 @@ class SetAssociativeCache:
             # access() path by construction).  SRRIP never reads them.
             if srrip_only:
                 long_ins: list[bool] = []
-            elif positions is not None:
-                long_ins = _draws.long_inserts_at(
-                    self._draw_key, positions
-                ).tolist()
             else:
                 long_ins = _draws.long_inserts(
-                    self._draw_key, self._access_pos, num_accesses
+                    self._draw_key, pos0, num_accesses
                 ).tolist()
             for i, line in enumerate(lines_list):
                 s = line % num_sets
@@ -388,15 +365,13 @@ class SetAssociativeCache:
                         insert = _RRPV_MAX - 1
                     ts[victim] = line
                     rr[victim] = insert
-                if scan_interval and (i + 1) % scan_interval == 0:
-                    snapshots.append(CacheSnapshot(i + 1, self.resident_lines()))
+                if scan_interval and (pos0 + i + 1) % scan_interval == 0:
+                    snapshots.append(
+                        CacheSnapshot(pos0 + i + 1, self.resident_lines())
+                    )
 
         self._psel = psel
-        if positions is not None:
-            if num_accesses:
-                self._access_pos = int(positions[-1]) + 1
-        else:
-            self._access_pos += num_accesses
+        self._access_pos = pos0 + num_accesses
         return SimulatedAccesses(hits=hits, snapshots=snapshots)
 
 

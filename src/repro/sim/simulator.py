@@ -35,7 +35,6 @@ from repro.sim.scheduler import (
     cost_balanced_chunks,
     simulate_work_stealing,
 )
-from repro.sim.shard import ShardedSimulation, simulate_sharded
 from repro.sim.stats import VertexAccessStats, attribute_random_accesses
 from repro.sim.timing import TimingModel
 from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
@@ -297,8 +296,7 @@ class StreamedSimulationResult:
     Unlike :class:`SimulationResult` this never retains the trace, so
     per-vertex attribution (``random_stats`` / ``schedule``) is not
     available — only the aggregate counters the scaling-curve experiment
-    needs: per-region access/hit counts, ECS snapshots, TLB misses and
-    the shard-merge bookkeeping.
+    needs: per-region access/hit counts, ECS snapshots and TLB misses.
     """
 
     graph: Graph
@@ -309,7 +307,6 @@ class StreamedSimulationResult:
     snapshots: list[CacheSnapshot]
     tlb_misses: int
     partition_boundaries: np.ndarray
-    shard: ShardedSimulation
 
     @property
     def num_accesses(self) -> int:
@@ -370,24 +367,23 @@ def simulate_spmv_streamed(
     graph: Graph,
     config: SimulationConfig | None = None,
     *,
-    num_shards: int = 1,
-    shard_mode: str = "serial",
     chunk_accesses: int = 1 << 20,
-    kernel: str = "auto",
     **scaled_kwargs: Any,
 ) -> StreamedSimulationResult:
-    """Scale-tier :func:`simulate_spmv`: bounded memory, optional sharding.
+    """Scale-tier :func:`simulate_spmv`: the same replay in bounded memory.
 
     The pipeline is trace chunks (:func:`spmv_trace_chunks`, one stream
     per thread partition) -> streaming round-robin interleave
-    (:func:`interleave_stream`) -> set-sharded replay
-    (:func:`simulate_sharded`).  Every stage holds O(``chunk_accesses``)
-    state; only the final hit bits (1 byte/access) and per-chunk kind
-    codes survive to the end for region accounting.
+    (:func:`interleave_stream`) -> one L3 and one TLB
+    :class:`SetAssociativeCache`, each fed every interleaved chunk in
+    turn.  Every stage holds O(``chunk_accesses``) state; per-region
+    access and hit counts are folded in chunk by chunk.
 
-    Headline counters are **bit-identical** to :func:`simulate_spmv`
-    with the same config, for any ``num_shards``/``chunk_accesses``
-    (property-tested in ``tests/test_shard.py``).
+    Headline counters and ECS snapshots are **bit-identical** to
+    :func:`simulate_spmv` with the same config, for any
+    ``chunk_accesses``: consecutive ``simulate`` calls on one cache
+    compose exactly (property-tested in ``tests/test_trace_stream.py``
+    and ``tests/test_cache_kernel.py``).
     """
     if config is None:
         config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
@@ -400,7 +396,6 @@ def simulate_spmv_streamed(
         edges=graph.num_edges,
         policy=config.cache.policy,
         threads=config.num_threads,
-        shards=num_shards,
     ):
         space = AddressSpace(
             graph.num_vertices, graph.num_edges, line_size=config.cache.line_size
@@ -423,7 +418,7 @@ def simulate_spmv_streamed(
             sources, config.interleave_interval, batch_accesses=chunk_accesses
         )
 
-        kind_parts: list[np.ndarray] = []
+        cache = SetAssociativeCache(config.cache)
         tlb_cache: SetAssociativeCache | None = None
         if config.tlb is not None:
             tlb_cache = SetAssociativeCache(
@@ -434,40 +429,33 @@ def simulate_spmv_streamed(
                     policy="lru",
                 )
             )
+        region_accesses = np.zeros(Region.COUNT, dtype=np.int64)
+        region_hits = np.zeros(Region.COUNT, dtype=np.int64)
+        snapshots: list[CacheSnapshot] = []
         tlb_misses = 0
-
-        def _line_chunks() -> "Any":
-            nonlocal tlb_misses
-            for merged, _tids in stream:
-                kind_parts.append(merged.kinds)
-                if tlb_cache is not None and config.tlb is not None:
+        for merged, _tids in stream:
+            with span("sim.cache", accesses=len(merged)):
+                outcome = cache.simulate(
+                    merged.lines, scan_interval=config.scan_interval
+                )
+            snapshots.extend(outcome.snapshots)
+            region_accesses += np.bincount(merged.kinds, minlength=Region.COUNT)
+            region_hits += np.bincount(
+                merged.kinds[outcome.hits.view(bool)], minlength=Region.COUNT
+            )
+            if tlb_cache is not None and config.tlb is not None:
+                with span("sim.tlb"):
                     pages = lines_to_pages(
                         merged.lines, config.cache.line_size, config.tlb.page_size
                     )
-                    tlb_res = tlb_cache.simulate(pages)
-                    tlb_misses += tlb_res.num_misses
-                yield merged.lines
-
-        sharded = simulate_sharded(
-            _line_chunks(),
-            config.cache,
-            num_shards=num_shards,
-            scan_interval=config.scan_interval,
-            mode=shard_mode,
-            kernel=kernel,
-        )
-
-        kinds = (
-            np.concatenate(kind_parts) if kind_parts else np.zeros(0, dtype=np.uint8)
-        )
-        region_accesses = np.bincount(kinds, minlength=Region.COUNT).astype(np.int64)
-        region_hits = np.bincount(
-            kinds, weights=sharded.hits.astype(np.float64), minlength=Region.COUNT
-        ).astype(np.int64)
+                    tlb_misses += tlb_cache.simulate(pages).num_misses
 
         if obs_enabled():
-            obs_metrics.registry.counter("sim.accesses").inc(sharded.num_accesses)
-            obs_metrics.registry.counter("sim.l3_misses").inc(sharded.num_misses)
+            num_accesses = int(region_accesses.sum())
+            obs_metrics.registry.counter("sim.accesses").inc(num_accesses)
+            obs_metrics.registry.counter("sim.l3_misses").inc(
+                num_accesses - int(region_hits.sum())
+            )
             obs_metrics.registry.counter("sim.tlb_misses").inc(tlb_misses)
 
     return StreamedSimulationResult(
@@ -476,8 +464,7 @@ def simulate_spmv_streamed(
         space=space,
         region_accesses=region_accesses,
         region_hits=region_hits,
-        snapshots=sharded.snapshots,
+        snapshots=snapshots,
         tlb_misses=tlb_misses,
         partition_boundaries=boundaries,
-        shard=sharded,
     )

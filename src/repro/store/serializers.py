@@ -94,7 +94,7 @@ class GraphSerializer(Serializer):
 
     Small graphs compress; scale-tier graphs are stored raw so
     ``load(path, mmap_mode="r")`` can memory-map the CSR/CSC arrays
-    (one shared page-cached copy across shard workers) — see
+    (one shared page-cached copy across processes) — see
     :func:`repro.graph.io.save_graph_npz`.
     """
 

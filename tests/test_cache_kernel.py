@@ -65,6 +65,17 @@ class TestDispatch:
         monkeypatch.setenv(MODE_ENV, "")
         assert kernel_mode("kernel") == "kernel"
 
+    def test_unknown_env_mode_is_a_typed_error(self, monkeypatch):
+        # A typo in the escape hatch must not silently fall back to the
+        # kernel= argument: the error names the variable and the modes.
+        monkeypatch.setenv(MODE_ENV, "vectorised")
+        with pytest.raises(SimulationError, match=MODE_ENV) as info:
+            kernel_mode("kernel")
+        assert all(mode in str(info.value) for mode in ("auto", "kernel", "reference"))
+        cache = SetAssociativeCache(CacheConfig(num_sets=4, ways=2))
+        with pytest.raises(SimulationError, match=MODE_ENV):
+            cache.simulate(np.arange(8, dtype=np.int64))
+
     def test_supported_size_gates(self):
         config = CacheConfig(num_sets=32, ways=8, policy="lru")
         small = np.arange(10, dtype=np.int64)
@@ -231,6 +242,51 @@ class TestKernelEquivalence:
             if saved is not None:
                 os.environ[MODE_ENV] = saved
 
+class TestChunkComposition:
+    """Consecutive ``simulate`` calls on one cache compose into one call.
+
+    ECS scan points are counted on the cache's lifetime access position,
+    so cutting a trace into chunks anywhere — including cuts that do not
+    divide ``scan_interval`` — must reproduce the single call's hits,
+    snapshots (lifetime ``access_index`` and resident lines) and final
+    state.  This is what lets the streamed simulator feed its chunks
+    straight into one cache.
+    """
+
+    @pytest.mark.parametrize("kernel", ["reference", "kernel"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        scan=st.sampled_from([7, 100, 511]),
+        cuts=st.lists(st.integers(min_value=1, max_value=1499), max_size=6),
+    )
+    def test_chunked_replay_equals_one_call(self, policy, kernel, seed, scan, cuts):
+        rng = np.random.default_rng(seed)
+        lines = rng.integers(0, 600, size=1500)
+        config = CacheConfig(num_sets=8, ways=4, policy=policy, seed=seed % 5)
+        whole = SetAssociativeCache(config)
+        one = whole.simulate(lines, scan_interval=scan, kernel="reference")
+
+        # scan + 1 is never a multiple of scan: later chunks start off
+        # the scan grid, so batch-relative counting would misplace them.
+        bounds = sorted({0, scan + 1, *cuts, lines.shape[0]})
+        chunked = SetAssociativeCache(config)
+        hits, snapshots = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = chunked.simulate(lines[lo:hi], scan_interval=scan, kernel=kernel)
+            hits.append(part.hits)
+            snapshots.extend(part.snapshots)
+
+        assert np.array_equal(np.concatenate(hits), one.hits)
+        assert [s.access_index for s in snapshots] == [
+            s.access_index for s in one.snapshots
+        ]
+        for got, want in zip(snapshots, one.snapshots):
+            assert np.array_equal(got.resident_lines, want.resident_lines)
+        _assert_same_state(whole, chunked, policy)
+
+
 class TestKernelFallbackObservability:
     def _declined(self, monkeypatch):
         # Simulate the kernel giving up (fixed-point budget exhausted)
@@ -241,9 +297,7 @@ class TestKernelFallbackObservability:
 
         monkeypatch.delenv(MODE_ENV, raising=False)
         monkeypatch.setattr(
-            _kernels,
-            "kernel_simulate",
-            lambda cache, lines, scan, positions=None: None,
+            _kernels, "kernel_simulate", lambda cache, lines, scan: None
         )
 
     def test_fallback_counts_and_warns_once(self, monkeypatch):

@@ -221,16 +221,15 @@ def test_bimodal_draws_golden(golden_rmat, update_golden):
 
 
 def test_scale_streamed_golden(golden_rmat, update_golden):
-    """Scale tier: streamed + sharded pipeline counters (PR 7).
+    """Scale tier: streamed pipeline counters (PR 7).
 
     Replays the golden graph through the bounded-memory pipeline —
-    chunked traces -> streaming round-robin interleave -> 3-way
-    set-sharded replay — with a deliberately tiny ``chunk_accesses`` so
-    the run crosses many chunk, batch and segment boundaries.  Pins the
-    merged headline counters plus the per-shard routing/draw bookkeeping:
-    any drift in the chunk-boundary dedup carry, the round-robin batch
-    cut, the set routing or the position-keyed draw stream moves one of
-    these integers and fails here.
+    chunked traces -> streaming round-robin interleave -> one cache fed
+    chunk by chunk — with a deliberately tiny ``chunk_accesses`` so the
+    run crosses many chunk, batch and scan boundaries.  Pins the headline
+    counters and snapshots: any drift in the chunk-boundary dedup carry,
+    the round-robin batch cut or the lifetime-position scan and draw
+    keying moves one of these numbers and fails here.
     """
     from repro.sim.simulator import simulate_spmv_streamed
 
@@ -238,9 +237,7 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     config = SimulationConfig.scaled_for(
         golden_rmat, scan_interval=max(1, approx_len // 64)
     )
-    result = simulate_spmv_streamed(
-        golden_rmat, config, num_shards=3, chunk_accesses=512
-    )
+    result = simulate_spmv_streamed(golden_rmat, config, chunk_accesses=512)
     computed = {
         "num_accesses": result.num_accesses,
         "l3_misses": result.l3_misses,
@@ -252,9 +249,6 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
             sum(int(s.resident_lines.sum()) for s in result.snapshots)
         ),
         "effective_cache_size_percent": result.effective_cache_size(),
-        "shard_accesses": result.shard.shard_accesses,
-        "shard_access_pos": result.shard.shard_access_pos,
-        "psel": result.shard.psel,
     }
     check_golden("scale_streamed", computed, update_golden)
 

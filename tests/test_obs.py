@@ -8,6 +8,7 @@ that property assertable without timing noise.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -18,7 +19,11 @@ from repro.errors import ObservabilityError
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as obs_main
 from repro.obs.export import PhaseSummary, aggregate_phases
-from repro.sim.simulator import SimulationConfig, simulate_spmv
+from repro.sim.simulator import (
+    SimulationConfig,
+    simulate_spmv,
+    simulate_spmv_streamed,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -160,6 +165,34 @@ class TestOverheadGuard:
         assert counters["spans_completed"] == 0
         assert counters["metric_updates"] == 0
         assert obs_metrics.registry.snapshot() == {}
+
+    def test_disabled_streamed_simulation_allocates_zero_spans(self, ring_graph):
+        """Same guard for the streamed pipeline's per-chunk spans."""
+        assert not obs.enabled()
+        obs.reset()
+        config = SimulationConfig.scaled_for(ring_graph)
+        result = simulate_spmv_streamed(ring_graph, config, chunk_accesses=16)
+        assert result.num_accesses > 0
+        counters = obs.debug_counters()
+        assert counters["spans_started"] == 0
+        assert counters["spans_completed"] == 0
+        assert counters["metric_updates"] == 0
+        assert obs_metrics.registry.snapshot() == {}
+
+    def test_streamed_simulation_spans_each_chunk_replay(self, ring_graph):
+        """Every streamed chunk's L3 and TLB replay gets its own span."""
+        # A short interleave interval lets the tiny ring split into chunks.
+        config = dataclasses.replace(
+            SimulationConfig.scaled_for(ring_graph), interleave_interval=2
+        )
+        with obs.recording():
+            result = simulate_spmv_streamed(ring_graph, config, chunk_accesses=16)
+        spans = obs.completed_spans()
+        cache_spans = [r for r in spans if r.name == "sim.cache"]
+        tlb_spans = [r for r in spans if r.name == "sim.tlb"]
+        assert len(cache_spans) > 1
+        assert len(tlb_spans) == len(cache_spans)
+        assert sum(r.attrs["accesses"] for r in cache_spans) == result.num_accesses
 
     def test_enabled_simulation_does_allocate(self, ring_graph):
         """Sanity check that the guard above is not vacuous."""

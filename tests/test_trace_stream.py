@@ -14,6 +14,8 @@ one vertex's access burst, finished-early threads).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,27 +220,23 @@ class TestStreamedSimulator:
         )
 
     @pytest.fixture(scope="class")
-    def reference(self, graph, config):
-        return simulate_spmv(graph, config)
+    def references(self, graph, config):
+        return {
+            direction: simulate_spmv(
+                graph, dataclasses.replace(config, direction=direction)
+            )
+            for direction in ("pull", "push")
+        }
 
-    @pytest.mark.parametrize(
-        "num_shards, mode, chunk_accesses",
-        [
-            (1, "serial", 1 << 20),
-            (1, "serial", 997),
-            (3, "serial", 1 << 12),
-            (4, "process", 1 << 13),
-        ],
-    )
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    @pytest.mark.parametrize("chunk_accesses", [1 << 20, 997, 1 << 12, 1 << 13])
     def test_matches_materialized_simulation(
-        self, graph, config, reference, num_shards, mode, chunk_accesses
+        self, graph, config, references, chunk_accesses, direction
     ):
+        config = dataclasses.replace(config, direction=direction)
+        reference = references[direction]
         streamed = simulate_spmv_streamed(
-            graph,
-            config,
-            num_shards=num_shards,
-            shard_mode=mode,
-            chunk_accesses=chunk_accesses,
+            graph, config, chunk_accesses=chunk_accesses
         )
         assert streamed.num_accesses == reference.num_accesses
         assert streamed.l3_misses == reference.l3_misses
