@@ -149,7 +149,8 @@ def main(argv: list[str]) -> int:
     elapsed = time.perf_counter() - start
 
     if tracing:
-        obs.disable()
+        # Saved while still recording: the run document's environment
+        # snapshot reads the live flag into ``trace_enabled``.
         if args.trace is not None:
             path = obs.save_run(args.trace)
             print(f"[trace: run document {path} "
@@ -157,6 +158,7 @@ def main(argv: list[str]) -> int:
         if args.chrome_trace is not None:
             path = obs.save_chrome_trace(args.chrome_trace)
             print(f"[trace: chrome://tracing file {path}]")
+        obs.disable()
 
     if failures:
         print(f"{failures} experiment(s) had shape mismatches ({elapsed:.1f}s total)")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
@@ -79,78 +80,104 @@ class GOrder(ReorderingAlgorithm):
         self.max_window = max_window
 
     def compute(self, graph: Graph, details: dict) -> np.ndarray:
-        n = graph.num_vertices
-        out_off = graph.out_adj.offsets
-        out_tgt = graph.out_adj.targets
-        in_off = graph.in_adj.offsets
-        in_tgt = graph.in_adj.targets
-        out_deg = graph.out_degrees()
         threshold = self.huge_threshold
         if threshold is None:
-            threshold = max(int(math.sqrt(graph.num_edges)), int(math.sqrt(n)))
-
-        # score[u] = S(u, window); placed vertices are masked at -inf.
-        score = np.zeros(n, dtype=np.float64)
-        placed = np.zeros(n, dtype=bool)
-        order = np.empty(n, dtype=np.int64)
-        window: deque[int] = deque()
-
-        def contributions(v: int) -> np.ndarray:
-            """Vertices whose score changes by 1 when v joins the window."""
-            parts = [
-                out_tgt[out_off[v] : out_off[v + 1]],  # S_n: v -> u
-                in_tgt[in_off[v] : in_off[v + 1]],  # S_n: u -> v
-            ]
-            # S_s: common in-neighbour x of u and v (skip huge x).
-            for x in in_tgt[in_off[v] : in_off[v + 1]].tolist():
-                if out_deg[x] <= threshold:
-                    parts.append(out_tgt[out_off[x] : out_off[x + 1]])
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-        # Start from the maximum-degree vertex (paper, Section IV-C).
-        total_deg = graph.total_degrees()
-        average_degree = graph.average_degree
-        window_size = self.window
-        max_window_seen = self.window
-        start = int(np.argmax(total_deg))
-        cursor = 0
-        current = start
+            threshold = max(
+                int(math.sqrt(graph.num_edges)), int(math.sqrt(graph.num_vertices))
+            )
         # One span for the whole greedy pass: the loop body is per-vertex
         # hot, so per-iteration spans would distort what they measure.
         with span("reorder.gorder.greedy", huge_threshold=threshold):
-            while True:
-                order[cursor] = current
-                cursor += 1
-                placed[current] = True
-                score[current] = -np.inf
-                if cursor == n:
-                    break
-
-                window.append(current)
-                np.add.at(score, contributions(current), 1.0)
-                if self.adaptive:
-                    # Grow while placing LDV, shrink when a hub enters.
-                    if total_deg[current] <= average_degree:
-                        window_size = min(window_size + 1, self.max_window)
-                    else:
-                        window_size = max(self.window, window_size - 2)
-                    max_window_seen = max(max_window_seen, window_size)
-                while len(window) > window_size:
-                    leaver = window.popleft()
-                    np.add.at(score, contributions(leaver), -1.0)
-                    score[leaver] = -np.inf  # keep placed vertices masked
-
-                best = int(np.argmax(score))
-                if placed[best]:
-                    # Every unplaced vertex scored -inf cannot happen (only
-                    # placed ones are masked), but argmax may land on a
-                    # placed vertex when all remaining scores are 0 and the
-                    # mask is -inf; fall back to the first unplaced vertex.
-                    best = int(np.flatnonzero(~placed)[0])
-                current = best
-
+            order, max_window_seen = self._greedy(
+                graph, _contribution_gather(graph, threshold)
+            )
         details["window"] = self.window
         details["huge_threshold"] = threshold
         if self.adaptive:
             details["max_window_used"] = max_window_seen
         return sort_order_to_relabeling(order)
+
+    def _greedy(
+        self, graph: Graph, contributions: Callable[[int], np.ndarray]
+    ) -> tuple[np.ndarray, int]:
+        """The placement order and the largest window size used.
+
+        Kept short, with the per-vertex loop near the top of its code
+        object: ``tracemalloc`` (Table II's memory column) resolves the
+        line number of every traced allocation by scanning the code
+        object's line table up to the allocating instruction.
+        """
+        n = graph.num_vertices
+        total_deg = graph.total_degrees()
+        average_degree = graph.average_degree
+        # score[u] = S(u, window); placed vertices are masked at -inf.
+        score = np.zeros(n, dtype=np.float64)
+        placed = np.zeros(n, dtype=bool)
+        order = np.empty(n, dtype=np.int64)
+        # Window entries carry their contribution array, so a leaving
+        # vertex subtracts exactly what it added without a second gather.
+        window: deque[tuple[int, np.ndarray]] = deque()
+        window_size = max_window_seen = self.window
+        # Start from the maximum-degree vertex (paper, Section IV-C).
+        current = int(np.argmax(total_deg))
+        cursor = 0
+        while True:
+            order[cursor] = current
+            cursor += 1
+            placed[current] = True
+            score[current] = -np.inf
+            if cursor == n:
+                return order, max_window_seen
+
+            added = contributions(current)
+            window.append((current, added))
+            np.add.at(score, added, 1.0)
+            if self.adaptive:
+                # Grow while placing LDV, shrink when a hub enters.
+                if total_deg[current] <= average_degree:
+                    window_size = min(window_size + 1, self.max_window)
+                else:
+                    window_size = max(self.window, window_size - 2)
+                max_window_seen = max(max_window_seen, window_size)
+            while len(window) > window_size:
+                leaver, removed = window.popleft()
+                np.add.at(score, removed, -1.0)
+                score[leaver] = -np.inf  # keep placed vertices masked
+
+            best = int(np.argmax(score))
+            if placed[best]:
+                # Every unplaced vertex scored -inf cannot happen (only
+                # placed ones are masked), but argmax may land on a
+                # placed vertex when all remaining scores are 0 and the
+                # mask is -inf; fall back to the first unplaced vertex.
+                best = int(np.flatnonzero(~placed)[0])
+            current = best
+
+
+def _contribution_gather(graph: Graph, threshold: int) -> Callable[[int], np.ndarray]:
+    """``contributions(v)``: vertices whose score rises by 1 when v enters.
+
+    Each occurrence counts once: ``u`` appears once per edge between
+    ``u`` and ``v`` (S_n) and once per common in-neighbour (S_s), so
+    ``np.add.at`` over the array applies S(u, v) in one call.
+    """
+    out_offsets = graph.out_adj.offsets
+    out_neighbours = graph.out_adj.targets
+    in_offsets = graph.in_adj.offsets
+    in_neighbours = graph.in_adj.targets
+    out_deg = graph.out_degrees()
+
+    def contributions(v: int) -> np.ndarray:
+        outs = out_neighbours[out_offsets[v] : out_offsets[v + 1]]  # S_n: v -> u
+        ins = in_neighbours[in_offsets[v] : in_offsets[v + 1]]  # S_n: u -> v
+        # S_s: common in-neighbour x of u and v (skip huge x).  One
+        # gather over the concatenated out-ranges of the kept x, never
+        # a Python loop over them (RL003 guards this module).
+        kept = ins[out_deg[ins] <= threshold]
+        lengths = out_deg[kept]
+        ends = np.cumsum(lengths)
+        gather = np.repeat(out_offsets[kept] - (ends - lengths), lengths)
+        gather += np.arange(gather.shape[0], dtype=np.int64)
+        return np.concatenate((outs, ins, out_neighbours[gather]))
+
+    return contributions

@@ -19,8 +19,6 @@ equal-degree vertices.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from repro.errors import ReorderingError
@@ -63,76 +61,23 @@ class RabbitOrder(ReorderingAlgorithm):
             return np.arange(n, dtype=np.int64)
 
         # Undirected weighted adjacency (directions merged, weight = edge
-        # multiplicity); self-loops contribute to the self weight.
+        # multiplicity); self-loops count twice in a vertex's strength.
         with span("reorder.rabbit.adjacency"):
-            adjacency, self_weight, strength = _undirected_adjacency(graph)
-        total_weight = float(graph.num_edges)  # m in the gain formula
-        two_m = 2.0 * total_weight
-
-        parent = np.arange(n, dtype=np.int64)
-        children: list[list[int]] = [[] for _ in range(n)]
-        top_level: list[int] = []
-
-        def find(v: int) -> int:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
+            adjacency, strength = _undirected_adjacency(graph)
 
         # Visit in increasing-degree order, seed-perturbed tie-breaks.
         rng = np.random.default_rng(self.seed)
         tie_break = rng.permutation(n)
         visit_order = np.lexsort((tie_break, graph.total_degrees()))
 
-        cap = self.max_community_weight
-        num_merges = 0
         with span("reorder.rabbit.merge") as merge_span:
-            for v in visit_order.tolist():
-                if find(v) != v:
-                    continue  # already absorbed into another community
-                # Resolve v's adjacency through the union-find, folding edges
-                # that became internal into the self weight.
-                resolved: dict[int, float] = {}
-                internal = 0.0
-                for u, w in adjacency[v].items():
-                    root = find(u)
-                    if root == v:
-                        internal += w
-                    else:
-                        resolved[root] = resolved.get(root, 0.0) + w
-                self_weight[v] += internal
-                adjacency[v] = resolved
-
-                best_gain = 0.0
-                best: int | None = None
-                deg_v = strength[v]
-                for u, w in resolved.items():
-                    if cap is not None and strength[u] + deg_v > cap:
-                        continue
-                    gain = 2.0 * (w / two_m - (strength[u] * deg_v) / (two_m * two_m))
-                    if gain > best_gain:
-                        best_gain = gain
-                        best = u
-                if best is None:
-                    top_level.append(v)
-                    continue
-
-                # Merge v into best: the union-find makes edges pointing at v
-                # resolve to best lazily; adjacency dicts are combined here.
-                parent[v] = best
-                children[best].append(v)
-                num_merges += 1
-                target = adjacency[best]
-                for u, w in resolved.items():
-                    if u == best:
-                        self_weight[best] += self_weight[v] + 2.0 * w
-                    else:
-                        target[u] = target.get(u, 0.0) + w
-                target.pop(v, None)
-                strength[best] += strength[v]
-                adjacency[v] = {}
+            children, top_level, num_merges = _merge(
+                adjacency,
+                strength,
+                visit_order.tolist(),
+                float(graph.num_edges),
+                self.max_community_weight,
+            )
             merge_span.set(merges=num_merges)
 
         with span("reorder.rabbit.dfs"):
@@ -142,24 +87,109 @@ class RabbitOrder(ReorderingAlgorithm):
         return sort_order_to_relabeling(order)
 
 
-def _undirected_adjacency(
-    graph: Graph,
-) -> tuple[list[dict[int, float]], np.ndarray, np.ndarray]:
-    """Per-vertex weighted neighbour dicts over the undirected view."""
+def _merge(
+    adjacency: list[dict[int, int]],
+    strength: list[int],
+    visit_order: list[int],
+    total_weight: float,
+    cap: float | None,
+) -> tuple[list[list[int]], list[int], int]:
+    """Merge each visited vertex into its best-gain neighbour.
+
+    Returns the merge trees (children per vertex), the top-level roots
+    in visit order and the number of merges.  ``adjacency`` and
+    ``strength`` are consumed.
+
+    Everything the loop touches per step is a Python list, dict or int
+    (no numpy scalars): integer weights stay exact, so ``w / two_m`` is
+    the same double as with float weights, and dict insertion order —
+    which decides gain ties — is the order edges are first met.  The
+    loops live in short functions on purpose: ``tracemalloc`` (Table
+    II's memory column) resolves the line number of every allocation by
+    scanning the allocating code object's line table, so a traced
+    allocation deep in a long function costs several times one in a
+    short one.
+    """
+    n = len(adjacency)
+    two_m = 2.0 * total_weight  # 2m in the gain formula
+    parent = list(range(n))
+    children: list[list[int]] = [[] for _ in range(n)]
+    top_level: list[int] = []
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    num_merges = 0
+    for v in visit_order:
+        if find(v) != v:
+            continue  # already absorbed into another community
+        # Resolve v's adjacency through the union-find, dropping edges
+        # that became internal (strength already counts them).
+        resolved: dict[int, int] = {}
+        for u, w in adjacency[v].items():
+            root = find(u)
+            if root != v:
+                resolved[root] = resolved.get(root, 0) + w
+        adjacency[v] = resolved
+        best = _best_neighbour(resolved, strength, strength[v], two_m, cap)
+        if best is None:
+            top_level.append(v)
+            continue
+        # Merge v into best: the union-find makes edges pointing at v
+        # resolve to best lazily; adjacency dicts are combined here.
+        parent[v] = best
+        children[best].append(v)
+        num_merges += 1
+        target = adjacency[best]
+        for u, w in resolved.items():
+            if u != best:
+                target[u] = target.get(u, 0) + w
+        target.pop(v, None)
+        strength[best] += strength[v]
+        adjacency[v] = {}
+    return children, top_level, num_merges
+
+
+def _best_neighbour(
+    resolved: dict[int, int],
+    strength: list[int],
+    deg_v: int,
+    two_m: float,
+    cap: float | None,
+) -> int | None:
+    """First neighbour with the largest positive modularity gain."""
+    best_gain = 0.0
+    best: int | None = None
+    for u, w in resolved.items():
+        if cap is not None and strength[u] + deg_v > cap:
+            continue
+        gain = 2.0 * (w / two_m - (strength[u] * deg_v) / (two_m * two_m))
+        if gain > best_gain:
+            best_gain = gain
+            best = u
+    return best
+
+
+def _undirected_adjacency(graph: Graph) -> tuple[list[dict[int, int]], list[int]]:
+    """Per-vertex neighbour multiplicity dicts and strengths (undirected)."""
     n = graph.num_vertices
     src, dst = graph.edges()
-    adjacency: list[dict[int, float]] = [dict() for _ in range(n)]
-    self_weight = np.zeros(n, dtype=np.float64)
+    adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
+    strength = [0] * n
     for u, v in zip(src.tolist(), dst.tolist()):
         if u == v:
-            self_weight[u] += 2.0  # a self-loop counts twice in strength
+            strength[u] += 2  # a self-loop counts twice in strength
             continue
-        adjacency[u][v] = adjacency[u].get(v, 0.0) + 1.0
-        adjacency[v][u] = adjacency[v].get(u, 0.0) + 1.0
-    strength = self_weight + np.asarray(
-        [sum(d.values()) for d in adjacency], dtype=np.float64
-    )
-    return adjacency, self_weight, strength
+        adjacency[u][v] = adjacency[u].get(v, 0) + 1
+        adjacency[v][u] = adjacency[v].get(u, 0) + 1
+    for v, neighbours in enumerate(adjacency):
+        strength[v] += sum(neighbours.values())
+    return adjacency, strength
 
 
 def _dfs_order(n: int, children: list[list[int]], top_level: list[int]) -> np.ndarray:
@@ -167,7 +197,6 @@ def _dfs_order(n: int, children: list[list[int]], top_level: list[int]) -> np.nd
     order = np.empty(n, dtype=np.int64)
     cursor = 0
     visited = np.zeros(n, dtype=bool)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
     for root in top_level:
         if visited[root]:
             continue

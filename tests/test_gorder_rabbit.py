@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReorderingError
 from repro.core import aid_per_vertex
 from repro.graph import Graph, invert_permutation, is_permutation, validate_graph
 from repro.reorder import GOrder, RabbitOrder
+from repro.reorder.gorder import _contribution_gather
 
 
 def graph_of(n, edges):
@@ -54,6 +57,39 @@ class TestGOrder:
     def test_huge_threshold_override(self, small_social):
         result = GOrder(huge_threshold=10)(small_social)
         assert result.details["huge_threshold"] == 10
+
+
+def _loop_contributions(graph, v, threshold):
+    """Reference: one out-range slice per in-neighbour, as a Python loop."""
+    out_off, out_tgt = graph.out_adj.offsets, graph.out_adj.targets
+    in_off, in_tgt = graph.in_adj.offsets, graph.in_adj.targets
+    out_deg = graph.out_degrees()
+    parts = [out_tgt[out_off[v] : out_off[v + 1]], in_tgt[in_off[v] : in_off[v + 1]]]
+    for x in in_tgt[in_off[v] : in_off[v + 1]].tolist():
+        if out_deg[x] <= threshold:
+            parts.append(out_tgt[out_off[x] : out_off[x + 1]])
+    return np.concatenate(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    num_edges=st.integers(min_value=0, max_value=90),
+    threshold=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_contribution_gather_matches_loop(n, num_edges, threshold, seed):
+    """The vectorized 2-hop gather equals the per-in-neighbour loop exactly."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, num_edges, dtype=np.int64)
+    dst = rng.integers(0, n, num_edges, dtype=np.int64)
+    graph = Graph.from_edges(n, src, dst)
+    contributions = _contribution_gather(graph, threshold)
+    for v in range(n):
+        expected = _loop_contributions(graph, v, threshold)
+        actual = contributions(v)
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
 
 
 class TestRabbitOrder:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -396,6 +399,23 @@ class TestCLI:
         out_path = tmp_path / "trace.json"
         assert obs_main(["chrome", str(run_path), "-o", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["traceEvents"]
+
+    def test_traced_experiment_run_records_trace_enabled(self, repo_root, tmp_path):
+        """``run_experiments.py --trace`` saves before recording stops."""
+        run_path = tmp_path / "run.json"
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"), REPRO_SCALE="0.0625")
+        env.pop("REPRO_TRACE", None)
+        completed = subprocess.run(
+            [sys.executable, str(repo_root / "examples" / "run_experiments.py"),
+             "fig4", "--no-cache", "--trace", str(run_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        # Shape checks are calibrated for REPRO_SCALE=1.0: exit 1 reports
+        # mismatches at this scale, anything else is a crash.
+        assert completed.returncode in (0, 1), completed.stderr
+        document = obs.load_run(run_path)
+        assert document["environment"]["trace_enabled"] is True
+        assert any(span["name"] == "bench.fig4" for span in document["spans"])
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert obs_main(["summarize", str(tmp_path / "absent.json")]) == 1

@@ -119,6 +119,15 @@ class TestSharedContract:
         second = get_algorithm(name)(graph).relabeling
         assert np.array_equal(first, second)
 
+    def test_tracked_run_matches_untracked(self, name, community_graph):
+        # Table II re-runs RAs under tracemalloc for its memory column;
+        # tracking must not change the relabeling, and must see the run.
+        plain = get_algorithm(name)(community_graph)
+        tracked = get_algorithm(name)(community_graph, track_memory=True)
+        assert np.array_equal(plain.relabeling, tracked.relabeling)
+        assert tracked.peak_memory_bytes > 0
+        assert plain.peak_memory_bytes == 0
+
     def test_empty_graph_raises_typed_error(self, name):
         empty = np.zeros(0, dtype=np.int64)
         graph = build_graph(0, empty, empty, drop_zero_degree=False).graph
