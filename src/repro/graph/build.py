@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.graph.csr import _check_edges, _pack_edges, sorted_unique
 from repro.graph.graph import Graph
+from repro.obs import traced
 
 __all__ = ["BuildResult", "build_graph", "dedup_edges", "compact_vertices"]
 
@@ -45,14 +46,13 @@ class BuildResult:
 def dedup_edges(
     sources: np.ndarray, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate directed edges, keeping one copy of each."""
-    sources = np.asarray(sources, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
+    """Remove duplicate directed edges; the rest come back in (source, target) order."""
+    # Shape and sign checks only: the key space is sized by the largest ID.
+    sources, targets = _check_edges(np.iinfo(np.int64).max, sources, targets)
     if sources.size == 0:
         return sources.copy(), targets.copy()
-    pairs = np.stack([sources, targets], axis=1)
-    unique = np.unique(pairs, axis=0)
-    return unique[:, 0], unique[:, 1]
+    n = max(int(sources.max()), int(targets.max())) + 1
+    return np.divmod(sorted_unique(_pack_edges(n, sources, targets)), n)
 
 
 def compact_vertices(
@@ -73,6 +73,7 @@ def compact_vertices(
     return survivors.shape[0], old_to_new[sources], old_to_new[targets], old_to_new
 
 
+@traced("graph.build")
 def build_graph(
     num_vertices: int,
     sources: np.ndarray,
@@ -89,16 +90,7 @@ def build_graph(
     Self-loop removal is off by default because SpMV tolerates them; RAs
     such as Rabbit-Order handle self-weights explicitly.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if sources.shape != targets.shape or sources.ndim != 1:
-        raise GraphFormatError("edge arrays must be 1-D and equal length")
-    if sources.size and (
-        min(sources.min(), targets.min()) < 0
-        or max(sources.max(), targets.max()) >= num_vertices
-    ):
-        raise GraphFormatError(f"edge endpoint outside [0, {num_vertices})")
-
+    sources, targets = _check_edges(num_vertices, sources, targets)
     original_edge_count = sources.shape[0]
     if drop_self_loops:
         keep = sources != targets

@@ -17,7 +17,10 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 
-__all__ = ["Adjacency"]
+__all__ = ["Adjacency", "sorted_unique"]
+
+#: Largest ``n`` whose packed edge keys (at most ``n**2 - 1``) fit int64.
+_MAX_PACKED_VERTICES = 3_037_000_499  # math.isqrt(2**63 - 1)
 
 
 class Adjacency:
@@ -56,12 +59,7 @@ class Adjacency:
 
     @classmethod
     def from_edges(
-        cls,
-        num_vertices: int,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        *,
-        sort_neighbours: bool = True,
+        cls, num_vertices: int, sources: np.ndarray, targets: np.ndarray
     ) -> "Adjacency":
         """Build adjacency over ``sources[i] -> targets[i]`` edges.
 
@@ -69,33 +67,20 @@ class Adjacency:
         neighbours.  To obtain the reverse direction, swap the two edge
         arrays at the call site.
         """
-        if num_vertices < 0:
-            raise GraphFormatError(f"negative vertex count: {num_vertices}")
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if sources.shape != targets.shape or sources.ndim != 1:
-            raise GraphFormatError(
-                f"edge arrays must be 1-D and equal length, got shapes "
-                f"{sources.shape} and {targets.shape}"
-            )
-        if sources.size:
-            lo = min(int(sources.min()), int(targets.min()))
-            hi = max(int(sources.max()), int(targets.max()))
-            if lo < 0 or hi >= num_vertices:
-                raise GraphFormatError(
-                    f"edge endpoint out of range [0, {num_vertices}): "
-                    f"saw IDs in [{lo}, {hi}]"
-                )
-        degrees = np.bincount(sources, minlength=num_vertices).astype(np.int64)
+        sources, targets = _check_edges(num_vertices, sources, targets)
+        return cls._from_checked_edges(num_vertices, sources, targets)
+
+    @classmethod
+    def _from_checked_edges(
+        cls, num_vertices: int, sources: np.ndarray, targets: np.ndarray
+    ) -> "Adjacency":
+        """:meth:`from_edges` for ``int64`` edges already inside ``[0, n)``."""
+        keys = _pack_edges(num_vertices, sources, targets)
+        keys.sort()
+        keys %= num_vertices  # decode the neighbour IDs in place
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        if sort_neighbours:
-            # Sorting by (source, target) groups each neighbour list and
-            # orders it ascending in one pass.
-            order = np.lexsort((targets, sources))
-        else:
-            order = np.argsort(sources, kind="stable")
-        return cls(offsets, targets[order], validate=False)
+        np.cumsum(np.bincount(sources, minlength=num_vertices), out=offsets[1:])
+        return cls(offsets, keys, validate=False)
 
     # -- basic shape ------------------------------------------------------
 
@@ -144,14 +129,8 @@ class Adjacency:
 
     def has_sorted_neighbours(self) -> bool:
         """True when every neighbour list is in ascending order."""
-        if self.num_edges == 0:
-            return True
-        ascending = np.ones(self.num_edges, dtype=bool)
-        ascending[1:] = self.targets[1:] >= self.targets[:-1]
-        # Positions where a new neighbour list starts may break order.
-        starts = self.offsets[1:-1]
-        ascending[starts[starts < self.num_edges]] = True
-        return bool(ascending.all())
+        keys = _pack_edges(self.num_vertices, self.edge_sources(), self.targets)
+        return bool(np.all(keys[1:] >= keys[:-1]))
 
     # -- dunder -----------------------------------------------------------
 
@@ -194,3 +173,46 @@ def _validate_structure(offsets: np.ndarray, targets: np.ndarray) -> None:
     n = offsets.shape[0] - 1
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise GraphFormatError(f"target vertex IDs must lie in [0, {n})")
+
+
+def _check_edges(
+    num_vertices: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays as ``int64``, checked to be 1-D, paired and in ``[0, n)``."""
+    if num_vertices < 0:
+        raise GraphFormatError(f"negative vertex count: {num_vertices}")
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if sources.shape != targets.shape or sources.ndim != 1:
+        raise GraphFormatError(
+            f"edge arrays must be 1-D and equal length, got shapes "
+            f"{sources.shape} and {targets.shape}"
+        )
+    if sources.size:
+        lo = min(int(sources.min()), int(targets.min()))
+        hi = max(int(sources.max()), int(targets.max()))
+        if lo < 0 or hi >= num_vertices:
+            raise GraphFormatError(
+                f"edge endpoint out of range [0, {num_vertices}): "
+                f"saw IDs in [{lo}, {hi}]"
+            )
+    return sources, targets
+
+
+def _pack_edges(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Key ``source * n + target`` per edge: sorts as the pair, ``divmod`` undoes it."""
+    if n > _MAX_PACKED_VERTICES:
+        raise GraphFormatError(
+            f"{n} vertices exceed the packed edge key bound {_MAX_PACKED_VERTICES}"
+        )
+    keys = sources * n
+    keys += targets
+    return keys
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of 1-D integers by sort-then-mask; its hash path is slower."""
+    values = np.sort(values)
+    keep = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

@@ -24,10 +24,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import Adjacency
+from repro.graph.csr import Adjacency, sorted_unique
 from repro.graph.graph import Graph
 
-__all__ = ["bfs_level_histogram", "effective_diameter"]
+__all__ = ["bfs_distances", "bfs_level_histogram", "effective_diameter"]
+
+
+def bfs_distances(adj: Adjacency, source: int) -> np.ndarray:
+    """Hop count from ``source`` to every vertex; ``-1`` marks unreachable."""
+    n = adj.num_vertices
+    if not 0 <= source < n:
+        raise GraphFormatError(f"source {source} out of range [0, {n})")
+    offsets, targets = adj.offsets, adj.targets
+    levels = np.full(n, -1, dtype=np.int64)
+    levels[source] = 0
+    frontier = np.asarray([source], dtype=np.int64)
+    level = 0
+    while frontier.size:
+        level += 1
+        starts = offsets[frontier]
+        degs = offsets[frontier + 1] - starts
+        cum = np.cumsum(degs)
+        # Gather all frontier adjacency slices in one indexed read.
+        gather = np.arange(cum[-1], dtype=np.int64) + np.repeat(starts - cum + degs, degs)
+        reached = targets[gather]
+        frontier = sorted_unique(reached[levels[reached] < 0])
+        levels[frontier] = level
+    return levels
 
 
 def bfs_level_histogram(adj: Adjacency, source: int) -> np.ndarray:
@@ -36,32 +59,8 @@ def bfs_level_histogram(adj: Adjacency, source: int) -> np.ndarray:
     ``result[d]`` counts vertices at distance exactly ``d`` (so
     ``result[0] == 1``); unreachable vertices are absent.
     """
-    n = adj.num_vertices
-    if not 0 <= source < n:
-        raise GraphFormatError(f"source {source} out of range [0, {n})")
-    offsets = adj.offsets
-    targets = adj.targets
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    frontier = np.asarray([source], dtype=np.int64)
-    counts = [1]
-    while frontier.size:
-        starts = offsets[frontier]
-        degs = offsets[frontier + 1] - starts
-        total = int(degs.sum())
-        if not total:
-            break
-        cum = np.cumsum(degs)
-        # Gather all frontier adjacency slices in one indexed read.
-        gather = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - degs), degs)
-        reached = targets[gather]
-        reached = reached[~visited[reached]]
-        if not reached.size:
-            break
-        frontier = np.unique(reached)
-        visited[frontier] = True
-        counts.append(int(frontier.shape[0]))
-    return np.asarray(counts, dtype=np.int64)
+    levels = bfs_distances(adj, source)
+    return np.bincount(levels[levels >= 0]).astype(np.int64)
 
 
 def effective_diameter(
@@ -95,13 +94,9 @@ def effective_diameter(
     rng = np.random.default_rng(seed)
     sources = rng.choice(n, size=min(num_sources, n), replace=False)
 
-    pooled = np.zeros(1, dtype=np.int64)
+    pooled = np.zeros(n, dtype=np.int64)  # no BFS has more than n levels
     for s in sources.tolist():
         hist = bfs_level_histogram(adj, int(s))
-        if hist.shape[0] > pooled.shape[0]:
-            grown = np.zeros(hist.shape[0], dtype=np.int64)
-            grown[: pooled.shape[0]] = pooled
-            pooled = grown
         pooled[: hist.shape[0]] += hist
     # Drop the level-0 self-pairs: the metric is over *distinct* pairs.
     pooled[0] = 0

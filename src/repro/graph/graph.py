@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import Adjacency
-from repro.graph.permute import apply_to_edges, check_permutation
+from repro.graph.csr import Adjacency, _check_edges
+from repro.graph.permute import check_permutation
+from repro.obs import span
 
 __all__ = ["Graph"]
 
@@ -61,8 +62,9 @@ class Graph:
         name: str = "",
     ) -> "Graph":
         """Build both directions from parallel edge arrays (no cleaning)."""
-        out_adj = Adjacency.from_edges(num_vertices, sources, targets)
-        in_adj = Adjacency.from_edges(num_vertices, targets, sources)
+        sources, targets = _check_edges(num_vertices, sources, targets)
+        out_adj = Adjacency._from_checked_edges(num_vertices, sources, targets)
+        in_adj = Adjacency._from_checked_edges(num_vertices, targets, sources)
         return cls(out_adj, in_adj, name=name)
 
     # -- shape ---------------------------------------------------------------
@@ -136,12 +138,14 @@ class Graph:
         This mirrors the paper's workflow: an RA emits a relabeling array
         and the CSR/CSC representations are rebuilt from it.
         """
-        relabeling = check_permutation(relabeling, self.num_vertices)
-        src, dst = self.edges()
-        new_src, new_dst = apply_to_edges(relabeling, src, dst)
-        if name is None:
-            name = self.name
-        return Graph.from_edges(self.num_vertices, new_src, new_dst, name=name)
+        n = self.num_vertices
+        with span("graph.permute", vertices=n, edges=self.num_edges):
+            relabeling = check_permutation(relabeling, n)
+            src = relabeling[self.out_adj.edge_sources()]
+            dst = relabeling[self.out_adj.targets]
+            out_adj = Adjacency._from_checked_edges(n, src, dst)
+            in_adj = Adjacency._from_checked_edges(n, dst, src)
+        return Graph(out_adj, in_adj, name=self.name if name is None else name)
 
     def reversed(self) -> "Graph":
         """Graph with every edge direction flipped (swaps CSR and CSC)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.csr import _pack_edges
 from repro.graph.graph import Graph
 
 __all__ = ["validate_graph", "edges_as_keys"]
@@ -24,9 +25,7 @@ def edges_as_keys(num_vertices: int, sources: np.ndarray, targets: np.ndarray) -
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
-    if num_vertices and num_vertices > np.iinfo(np.int64).max // num_vertices:
-        raise GraphFormatError("graph too large for scalar edge keys")
-    return np.sort(sources * np.int64(num_vertices) + targets)
+    return np.sort(_pack_edges(num_vertices, sources, targets))
 
 
 def validate_graph(graph: Graph) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.graph.diameter import bfs_distances
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -27,22 +28,8 @@ __all__ = [
 
 def bfs_levels(graph: Graph, source: int) -> np.ndarray:
     """BFS levels over out-edges; ``-1`` marks unreachable vertices."""
-    n = _check_source(graph, source)
-    levels = np.full(n, -1, dtype=np.int64)
-    levels[source] = 0
-    frontier = np.asarray([source], dtype=np.int64)
-    offsets = graph.out_adj.offsets
-    targets = graph.out_adj.targets
-    level = 0
-    while frontier.size:
-        level += 1
-        neighbours = np.concatenate(
-            [targets[offsets[v] : offsets[v + 1]] for v in frontier.tolist()]
-        ) if frontier.size else np.zeros(0, dtype=np.int64)
-        fresh = np.unique(neighbours[levels[neighbours] < 0])
-        levels[fresh] = level
-        frontier = fresh
-    return levels
+    _check_source(graph, source)
+    return bfs_distances(graph.out_adj, source)
 
 
 def sssp_distances(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.graph.csr import sorted_unique
 from repro.lint.contracts import declares_effects
 from repro.obs import enabled as _obs_enabled
 from repro.obs import metrics as _obs_metrics
@@ -403,5 +404,4 @@ class SimulatedAccesses:
 
 def count_cold_misses(lines: np.ndarray) -> int:
     """Number of distinct lines — the miss count of an infinite cache."""
-    lines = np.asarray(lines, dtype=np.int64)
-    return int(np.unique(lines).shape[0])
+    return int(sorted_unique(np.asarray(lines, dtype=np.int64)).shape[0])

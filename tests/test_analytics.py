@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.graph import Graph, random_permutation, apply_to_vertex_data
+from repro.graph import (
+    Graph,
+    apply_to_vertex_data,
+    bfs_level_histogram,
+    effective_diameter,
+    random_permutation,
+)
 from repro.sim import bfs_levels, frontier_profile, sssp_distances
 
 
@@ -99,3 +107,60 @@ class TestFrontierProfile:
     def test_ring_has_no_dense_phase(self, ring_graph):
         profile = frontier_profile(ring_graph, 0)
         assert profile.dense_phase_share(threshold=0.5) == 0.0
+
+
+def _loop_bfs_levels(graph, source):
+    """Reference: per-vertex neighbour slices and ``np.unique`` per level."""
+    levels = np.full(graph.num_vertices, -1, dtype=np.int64)
+    levels[source] = 0
+    frontier, level = [source], 0
+    while frontier:
+        level += 1
+        neighbours = np.concatenate(
+            [graph.out_adj.neighbours(v) for v in frontier] + [np.zeros(0, dtype=np.int64)]
+        )
+        fresh = np.unique(neighbours[levels[neighbours] < 0])
+        levels[fresh] = level
+        frontier = fresh.tolist()
+    return levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    num_edges=st.integers(min_value=0, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_vectorized_bfs_matches_loop(n, num_edges, seed):
+    """bfs_levels and the diameter histogram equal the per-vertex loop."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, num_edges, dtype=np.int64)
+    dst = rng.integers(0, n, num_edges, dtype=np.int64)
+    graph = Graph.from_edges(n, src, dst)
+    source = int(rng.integers(0, n))
+    expected = _loop_bfs_levels(graph, source)
+    levels = bfs_levels(graph, source)
+    assert levels.dtype == expected.dtype
+    assert np.array_equal(levels, expected)
+    histogram = bfs_level_histogram(graph.out_adj, source)
+    assert histogram.dtype == np.int64
+    assert histogram.tolist() == np.bincount(expected[expected >= 0]).tolist()
+
+    # Effective diameter: pool the reference histograms of the same
+    # sampled roots and interpolate as SNAP does.
+    num_sources, percentile = 4, 0.9
+    roots = np.random.default_rng(seed).choice(n, size=min(num_sources, n), replace=False)
+    pooled = np.zeros(n, dtype=np.int64)
+    for root in roots.tolist():
+        levels = _loop_bfs_levels(graph, root)
+        pooled += np.bincount(levels[levels > 0], minlength=n)
+    total = int(pooled.sum())
+    want = 0.0
+    if total:
+        cumulative = np.cumsum(pooled)
+        threshold = percentile * total
+        d = int(np.searchsorted(cumulative, threshold))
+        below = int(cumulative[d - 1]) if d else 0
+        want = d - 1 + (threshold - below) / int(pooled[d]) if d else 0.0
+    got = effective_diameter(graph, percentile=percentile, num_sources=num_sources, seed=seed)
+    assert got == want

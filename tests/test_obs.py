@@ -15,10 +15,12 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
+from repro.graph import build_graph, random_permutation
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as obs_main
 from repro.obs.export import PhaseSummary, aggregate_phases
@@ -196,6 +198,26 @@ class TestOverheadGuard:
         assert len(cache_spans) > 1
         assert len(tlb_spans) == len(cache_spans)
         assert sum(r.attrs["accesses"] for r in cache_spans) == result.num_accesses
+
+    def test_disabled_graph_build_and_permute_allocate_zero_spans(self):
+        """The graph.build and graph.permute spans cost nothing when off."""
+        assert not obs.enabled()
+        obs.reset()
+        built = build_graph(5, np.array([0, 0, 1, 3]), np.array([1, 1, 2, 0]))
+        permuted = built.graph.permuted(random_permutation(4, seed=1))
+        assert permuted.num_edges == 3  # the duplicate was dropped
+        counters = obs.debug_counters()
+        assert counters["spans_started"] == 0
+        assert counters["spans_completed"] == 0
+        assert counters["metric_updates"] == 0
+
+    def test_graph_build_and_permute_spans(self):
+        with obs.recording():
+            built = build_graph(5, np.array([0, 0, 1, 3]), np.array([1, 1, 2, 0]))
+            built.graph.permuted(random_permutation(4, seed=1))
+        spans = {record.name: record for record in obs.completed_spans()}
+        assert "graph.build" in spans
+        assert spans["graph.permute"].attrs == {"vertices": 4, "edges": 3}
 
     def test_enabled_simulation_does_allocate(self, ring_graph):
         """Sanity check that the guard above is not vacuous."""
