@@ -9,7 +9,7 @@ two constituent policies on every workload.
 import numpy as np
 
 from repro.core import format_table
-from repro.sim import CacheConfig, SetAssociativeCache, SimulationConfig, simulate_spmv
+from repro.sim import CacheConfig, SetAssociativeCache, SimulationConfig, interleaved_trace
 
 
 def test_cache_policy_ablation(benchmark, shared_workloads):
@@ -19,7 +19,7 @@ def test_cache_policy_ablation(benchmark, shared_workloads):
         for dataset in ("twtr-mini", "sk-mini"):
             graph = shared_workloads.graph(dataset)
             base = SimulationConfig.scaled_for(graph)
-            trace = simulate_spmv(graph, base).trace  # reuse the trace
+            trace, _ = interleaved_trace(graph, base)  # one trace, four caches
             row = [dataset]
             for policy in ("lru", "srrip", "brrip", "drrip"):
                 config = CacheConfig(

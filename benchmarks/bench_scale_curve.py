@@ -2,9 +2,10 @@
 
 One measurement on one RM-family benchmark graph, each mode taken in a
 *child interpreter* so ``ru_maxrss`` is an honest per-mode peak rather
-than whatever this process touched earlier: the materialized child runs
-:func:`repro.sim.simulate_spmv` (full trace in memory), the streamed
-child runs :func:`repro.sim.simulate_spmv_streamed` (bounded chunks).
+than whatever this process touched earlier: the materialized child
+builds :func:`repro.sim.interleaved_trace` (full trace in memory) and
+replays it in one call through a fresh L3 and TLB, the streamed child
+runs :func:`repro.sim.simulate_spmv` (bounded chunks).
 The ratio gate (< 0.4) applies once the graph is big enough that the
 trace, not the interpreter, dominates the materialized peak
 (``_RSS_GATE_MIN_EDGES``); below that the ratio is recorded but not
@@ -75,15 +76,28 @@ def _child_main(mode: str, graph_path: str) -> None:
     import resource
 
     from repro.graph import load_graph_npz
-    from repro.sim import SimulationConfig, simulate_spmv, simulate_spmv_streamed
+    from repro.sim import (
+        SetAssociativeCache,
+        SimulationConfig,
+        interleaved_trace,
+        lines_to_pages,
+        simulate_spmv,
+    )
 
     graph = load_graph_npz(Path(graph_path), mmap_mode="r")
     config = SimulationConfig.scaled_for(graph)
     t0 = time.perf_counter()
     if mode == "materialized":
-        result = simulate_spmv(graph, config)
+        trace, _ = interleaved_trace(graph, config)
+        l3 = SetAssociativeCache(config.cache).simulate(trace.lines)
+        pages = lines_to_pages(
+            trace.lines, config.cache.line_size, config.tlb.page_size
+        )
+        tlb = SetAssociativeCache(config.tlb.cache_config()).simulate(pages)
+        counters = (len(trace), l3.num_misses, tlb.num_misses)
     elif mode == "streamed":
-        result = simulate_spmv_streamed(graph, config)
+        result = simulate_spmv(graph, config)
+        counters = (result.num_accesses, result.l3_misses, result.tlb_misses)
     else:
         raise ValueError(f"unknown child mode {mode!r}")
     seconds = time.perf_counter() - t0
@@ -96,9 +110,9 @@ def _child_main(mode: str, graph_path: str) -> None:
                 "mode": mode,
                 "num_vertices": graph.num_vertices,
                 "num_edges": graph.num_edges,
-                "num_accesses": int(result.num_accesses),
-                "l3_misses": int(result.l3_misses),
-                "tlb_misses": int(result.tlb_misses),
+                "num_accesses": int(counters[0]),
+                "l3_misses": int(counters[1]),
+                "tlb_misses": int(counters[2]),
                 "seconds": seconds,
                 "peak_rss_bytes": int(peak),
             }

@@ -147,18 +147,7 @@ def _simulation_stage(
 
 def _scan_config(graph: Graph, direction: str) -> SimulationConfig:
     """The ECS-sampling config the simulation-heavy experiments use."""
-    config = SimulationConfig.scaled_for(graph, direction=direction)
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    return SimulationConfig(
-        cache=config.cache,
-        tlb=config.tlb,
-        num_threads=config.num_threads,
-        interleave_interval=config.interleave_interval,
-        scan_interval=max(1, approx_len // 64),
-        direction=config.direction,
-        promote_sequential=config.promote_sequential,
-        timing=config.timing,
-    )
+    return SimulationConfig.scaled_for(graph, direction=direction).with_scans(graph)
 
 
 class Workloads:

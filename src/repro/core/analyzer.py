@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.simulator import (
+    SimulationConfig,
+    SimulationResult,
+    interleaved_trace,
+    simulate_spmv,
+)
 
 from repro.core.aid import AIDDistribution, aid_degree_distribution, aid_per_vertex
 from repro.core.asymmetricity import (
@@ -105,25 +110,19 @@ class LocalityAnalyzer:
     # -- simulation-backed metrics -------------------------------------------
 
     @property
+    def config(self) -> SimulationConfig:
+        """The simulation config, with ECS scans enabled."""
+        config = self._config or SimulationConfig.scaled_for(self.graph)
+        if config.scan_interval == 0:
+            config = config.with_scans(self.graph)
+        self._config = config
+        return config
+
+    @property
     def simulation(self) -> SimulationResult:
         """The cached traversal simulation (run on first use)."""
         if self._result is None:
-            config = self._config
-            if config is None:
-                config = SimulationConfig.scaled_for(self.graph)
-            if config.scan_interval == 0:
-                approx_len = self.graph.num_edges + self.graph.num_vertices // 4
-                config = SimulationConfig(
-                    cache=config.cache,
-                    tlb=config.tlb,
-                    num_threads=config.num_threads,
-                    interleave_interval=config.interleave_interval,
-                    scan_interval=max(1, approx_len // 64),
-                    direction=config.direction,
-                    promote_sequential=config.promote_sequential,
-                    timing=config.timing,
-                )
-            self._result = simulate_spmv(self.graph, config)
+            self._result = simulate_spmv(self.graph, self.config)
         return self._result
 
     def miss_rate_distribution(self, by: str = "proc") -> MissRateDistribution:
@@ -136,7 +135,8 @@ class LocalityAnalyzer:
         return hub_data_misses(self.simulation, min_degree)
 
     def locality_types(self) -> LocalityTypeCounts:
-        result = self.simulation
+        """Classify the traversal's reuses; reads the trace, not hit bits."""
+        trace, thread_ids = interleaved_trace(self.graph, self.config)
         return classify_locality_types(
-            result.trace, result.thread_ids, random_region=result.random_region
+            trace, thread_ids, random_region=self.config.random_region
         )

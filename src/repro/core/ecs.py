@@ -19,11 +19,14 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
-from repro.sim.simulator import SimulationConfig, SimulationResult, simulate_spmv
+from repro.sim.simulator import (
+    DEFAULT_NUM_SCANS,
+    SimulationConfig,
+    SimulationResult,
+    simulate_spmv,
+)
 
 __all__ = ["ECSMeasurement", "measure_ecs", "ecs_from_result"]
-
-_DEFAULT_NUM_SCANS = 64
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ def measure_ecs(
     graph: Graph,
     config: SimulationConfig | None = None,
     *,
-    num_scans: int = _DEFAULT_NUM_SCANS,
+    num_scans: int = DEFAULT_NUM_SCANS,
     **scaled_kwargs,
 ) -> ECSMeasurement:
     """Run a traversal with periodic scans and return its ECS.
@@ -73,17 +76,5 @@ def measure_ecs(
         config = SimulationConfig.scaled_for(graph, **scaled_kwargs)
     elif scaled_kwargs:
         raise SimulationError("pass either a config or scaling kwargs, not both")
-    # Trace length is close to m random accesses plus sequential lines.
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    interval = max(1, approx_len // max(1, num_scans))
-    config = SimulationConfig(
-        cache=config.cache,
-        tlb=config.tlb,
-        num_threads=config.num_threads,
-        interleave_interval=config.interleave_interval,
-        scan_interval=interval,
-        direction=config.direction,
-        promote_sequential=config.promote_sequential,
-        timing=config.timing,
-    )
+    config = config.with_scans(graph, num_scans=num_scans)
     return ecs_from_result(simulate_spmv(graph, config))

@@ -54,8 +54,10 @@ def scale_factor() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ExperimentError(f"REPRO_SCALE must be a float, got {raw!r}") from exc
-    if value <= 0:
-        raise ExperimentError(f"REPRO_SCALE must be positive, got {value}")
+    if not math.isfinite(value) or value <= 0:
+        raise ExperimentError(
+            f"REPRO_SCALE must be a positive finite number, got {raw!r}"
+        )
     return value
 
 
@@ -157,8 +159,8 @@ DATASETS: dict[str, DatasetSpec] = {
 #: at ~10⁷ edges for ``REPRO_SCALE=1``, reaching the 10⁸ band at
 #: ``REPRO_SCALE=10``.  These are the sizes where the diameter-dependence
 #: study (arXiv 2111.12281) predicts reordering rankings start to shift;
-#: run them through :func:`repro.sim.simulator.simulate_spmv_streamed`,
-#: not the materializing pipeline.
+#: :func:`repro.sim.simulator.simulate_spmv` replays them in bounded
+#: chunks.
 SCALE_DATASETS: dict[str, DatasetSpec] = {
     spec.name: spec
     for spec in [

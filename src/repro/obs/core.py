@@ -15,8 +15,10 @@ Design constraints (DESIGN.md §10):
   reconstruct wall-clock times without per-span ``time.time`` calls.
 
 The global enable switch resolves from the ``REPRO_TRACE`` environment
-variable at import (``0``/``false``/``off``/unset disable, anything
-else enables) and can be flipped programmatically with
+variable at import (``1``/``true``/``on``/``yes`` enable,
+``0``/``false``/``off``/``no``/unset disable, anything else raises
+:class:`~repro.errors.ObservabilityError`) and can be flipped
+programmatically with
 :func:`enable` / :func:`disable` / :func:`recording`.
 """
 
@@ -29,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
+from repro.errors import ObservabilityError
 from repro.lint.contracts import declares_effects
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
 TRACE_ENV = "REPRO_TRACE"
 
 _FALSY = ("", "0", "false", "off", "no")
+_TRUTHY = ("1", "true", "on", "yes")
 
 #: ``time.time() - time.perf_counter()`` at import: add to a span's
 #: monotonic timestamps to recover approximate wall-clock seconds.
@@ -61,7 +65,16 @@ F = TypeVar("F", bound=Callable[..., Any])
 
 
 def _env_enabled() -> bool:
-    return os.environ.get(TRACE_ENV, "").strip().lower() not in _FALSY
+    raw = os.environ.get(TRACE_ENV, "")
+    value = raw.strip().lower()
+    if value in _FALSY:
+        return False
+    if value in _TRUTHY:
+        return True
+    raise ObservabilityError(
+        f"{TRACE_ENV}={raw!r} is not a switch value; use one of "
+        f"{_TRUTHY} to enable or {_FALSY[1:]} (or unset) to disable"
+    )
 
 
 @dataclass(frozen=True)

@@ -153,17 +153,7 @@ def _scan_config(
     base = SimulationConfig.scaled_for(
         graph, direction=direction, policy=policy, pressure=pressure
     )
-    approx_len = graph.num_edges + graph.num_vertices // 4
-    return SimulationConfig(
-        cache=base.cache,
-        tlb=base.tlb,
-        num_threads=base.num_threads,
-        interleave_interval=base.interleave_interval,
-        scan_interval=max(1, approx_len // 64),
-        direction=base.direction,
-        promote_sequential=base.promote_sequential,
-        timing=base.timing,
-    )
+    return base.with_scans(graph)
 
 
 def _simulation(workloads: Workloads, job: Dict[str, Any]) -> SimulationResult:

@@ -31,14 +31,14 @@ from repro.sim.scheduler import ScheduleResult, chunk_costs, simulate_work_steal
 from repro.sim.simulator import (
     SimulationConfig,
     SimulationResult,
-    StreamedSimulationResult,
+    interleaved_trace,
     simulate_spmv,
     simulate_spmv_streamed,
 )
 from repro.sim.spmv import pagerank, spmv_iterations, spmv_pull, spmv_push
 from repro.sim.stats import VertexAccessStats, attribute_random_accesses
 from repro.sim.timing import TimingModel
-from repro.sim.tlb import TLBConfig, lines_to_pages, simulate_tlb
+from repro.sim.tlb import TLBConfig, lines_to_pages
 from repro.sim.trace import (
     MemoryTrace,
     concatenate_traces,
@@ -73,7 +73,7 @@ __all__ = [
     "simulate_work_stealing",
     "SimulationConfig",
     "SimulationResult",
-    "StreamedSimulationResult",
+    "interleaved_trace",
     "simulate_spmv",
     "simulate_spmv_streamed",
     "pagerank",
@@ -85,7 +85,6 @@ __all__ = [
     "TimingModel",
     "TLBConfig",
     "lines_to_pages",
-    "simulate_tlb",
     "MemoryTrace",
     "concatenate_traces",
     "spmv_trace",

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
+from repro.obs import span
 from repro.sim.trace import MemoryTrace
 
 __all__ = [
@@ -164,6 +165,40 @@ def interleave_stream(
         buffered[t] -= want
         return taken
 
+    def _merge(counts: list[int]) -> tuple[MemoryTrace, np.ndarray]:
+        """Take ``counts[t]`` accesses of each thread and merge them.
+
+        A function of its own so that the inputs and sort keys are freed
+        on return instead of living on in the generator's frame while
+        the consumer replays the batch.
+        """
+        part_arrays: list[list[np.ndarray]] = [[], [], [], []]
+        rounds_parts: list[np.ndarray] = []
+        threads_parts: list[np.ndarray] = []
+        for t in range(num_threads):
+            k = counts[t]
+            if not k:
+                continue
+            local = consumed[t] + np.arange(k, dtype=np.int64)
+            rounds_parts.append(local // interval)
+            threads_parts.append(np.full(k, t, dtype=np.int64))
+            for blk in _take(t, k):
+                for slot, arr in zip(part_arrays, blk):
+                    slot.append(arr)
+            consumed[t] += k
+        rounds = np.concatenate(rounds_parts)
+        threads = np.concatenate(threads_parts)
+        order = np.argsort(rounds * num_threads + threads, kind="stable")
+        assert space is not None
+        merged = MemoryTrace(
+            lines=np.concatenate(part_arrays[0])[order],
+            kinds=np.concatenate(part_arrays[1])[order],
+            read_vertex=np.concatenate(part_arrays[2])[order],
+            proc_vertex=np.concatenate(part_arrays[3])[order],
+            space=space,
+        )
+        return merged, threads[order]
+
     # Each alive thread is topped up to >= one interval past the current
     # round frontier, so r_safe strictly advances every iteration and the
     # loop terminates once all streams drain.
@@ -190,33 +225,9 @@ def interleave_stream(
                 return
             continue
 
-        part_arrays: list[list[np.ndarray]] = [[], [], [], []]
-        rounds_parts: list[np.ndarray] = []
-        threads_parts: list[np.ndarray] = []
-        for t in range(num_threads):
-            k = counts[t]
-            if not k:
-                continue
-            local = consumed[t] + np.arange(k, dtype=np.int64)
-            rounds_parts.append(local // interval)
-            threads_parts.append(np.full(k, t, dtype=np.int64))
-            for blk in _take(t, k):
-                for slot, arr in zip(part_arrays, blk):
-                    slot.append(arr)
-            consumed[t] += k
-        rounds = np.concatenate(rounds_parts)
-        threads = np.concatenate(threads_parts)
-        order = np.argsort(rounds * num_threads + threads, kind="stable")
-        assert space is not None
-        yield (
-            MemoryTrace(
-                lines=np.concatenate(part_arrays[0])[order],
-                kinds=np.concatenate(part_arrays[1])[order],
-                read_vertex=np.concatenate(part_arrays[2])[order],
-                proc_vertex=np.concatenate(part_arrays[3])[order],
-                space=space,
-            ),
-            threads[order],
-        )
+        # The span closes before the yield, like the trace chunks' spans.
+        with span("sim.interleave", accesses=total):
+            merged, thread_ids = _merge(counts)
+        yield merged, thread_ids
         if not any(alive) and not any(buffered):
             return

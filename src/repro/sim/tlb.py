@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.cache import CacheConfig, SetAssociativeCache, SimulatedAccesses
+from repro.sim.cache import CacheConfig
 
-__all__ = ["TLBConfig", "simulate_tlb", "lines_to_pages"]
+__all__ = ["TLBConfig", "lines_to_pages"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,15 @@ class TLBConfig:
     @property
     def num_sets(self) -> int:
         return self.entries // self.ways
+
+    def cache_config(self) -> CacheConfig:
+        """The LRU cache of page IDs that simulates this TLB."""
+        return CacheConfig(
+            num_sets=self.num_sets,
+            ways=self.ways,
+            line_size=64,  # irrelevant at page granularity
+            policy="lru",
+        )
 
     @classmethod
     def scaled_for(
@@ -73,18 +82,3 @@ def lines_to_pages(lines: np.ndarray, line_size: int, page_size: int) -> np.ndar
     ratio = page_size // line_size
     return np.asarray(lines, dtype=np.int64) // ratio
 
-
-def simulate_tlb(
-    lines: np.ndarray, line_size: int, config: TLBConfig
-) -> SimulatedAccesses:
-    """Run the trace's page stream through a fresh LRU TLB."""
-    pages = lines_to_pages(lines, line_size, config.page_size)
-    cache = SetAssociativeCache(
-        CacheConfig(
-            num_sets=config.num_sets,
-            ways=config.ways,
-            line_size=64,  # irrelevant at page granularity
-            policy="lru",
-        )
-    )
-    return cache.simulate(pages)

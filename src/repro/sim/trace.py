@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.graph import Graph
+from repro.obs import span
 
 from repro.sim.address_space import AddressSpace, Region
 
@@ -220,6 +221,28 @@ def _resolve_range(
     return start, end
 
 
+def _empty_parts() -> tuple[np.ndarray, ...]:
+    """Zero accesses as (lines, kinds, read_vertex, proc_vertex, positions)."""
+    empty64 = np.zeros(0, dtype=np.int64)
+    return (empty64, np.zeros(0, dtype=np.uint8), empty64, empty64, empty64)
+
+
+def _sorted_chunk(
+    pending: tuple[np.ndarray, ...], parts: tuple[list[np.ndarray], ...]
+) -> list[np.ndarray]:
+    """``pending`` then ``parts``, joined per field and stable-sorted by position.
+
+    Fields are (lines, kinds, read_vertex, proc_vertex, positions).  The
+    pending accesses go *first* so the stable sort puts them ahead of
+    this chunk's on position ties (lower indices).  The unsorted parts
+    are freed on return, not kept alive by the generator's frame while
+    the consumer replays the chunk.
+    """
+    fields = [np.concatenate([held, *part]) for held, part in zip(pending, parts)]
+    order = np.argsort(fields[-1], kind="stable")
+    return [field[order] for field in fields]
+
+
 def _empty_trace(space: AddressSpace) -> MemoryTrace:
     empty64 = np.zeros(0, dtype=np.int64)
     return MemoryTrace(empty64, np.zeros(0, dtype=np.uint8), empty64.copy(),
@@ -322,11 +345,7 @@ def spmv_trace_chunks(
     vertex_budget = max(1, max_accesses // 2)
 
     carry = _DedupCarry()
-    pend_lines = np.zeros(0, dtype=np.int64)
-    pend_kinds = np.zeros(0, dtype=np.uint8)
-    pend_read = np.zeros(0, dtype=np.int64)
-    pend_proc = np.zeros(0, dtype=np.int64)
-    pend_pos = np.zeros(0, dtype=np.int64)
+    pending = _empty_parts()
 
     a = start
     while a < end:
@@ -335,42 +354,24 @@ def spmv_trace_chunks(
         ) - 1
         b = min(max(b, a + 1), end, a + vertex_budget)
 
-        parts = _range_parts(
-            graph, space, direction, a, b, promote_sequential, carry
-        )
-        parts_lines, parts_kinds, parts_read, parts_proc, parts_pos = parts
-        # The pending part goes *first* so the stable sort puts held-back
-        # accesses ahead of this chunk's on position ties (lower indices).
-        parts_lines.insert(0, pend_lines)
-        parts_kinds.insert(0, pend_kinds)
-        parts_read.insert(0, pend_read)
-        parts_proc.insert(0, pend_proc)
-        parts_pos.insert(0, pend_pos)
-
-        lines = np.concatenate(parts_lines)
-        kinds = np.concatenate(parts_kinds)
-        read_vertex = np.concatenate(parts_read)
-        proc_vertex = np.concatenate(parts_proc)
-        positions = np.concatenate(parts_pos)
-        order = np.argsort(positions, kind="stable")
-        lines = lines[order]
-        kinds = kinds[order]
-        read_vertex = read_vertex[order]
-        proc_vertex = proc_vertex[order]
-        positions = positions[order]
-
-        if b < end:
-            # Hold back the sorted suffix at positions >= the next
-            # chunk's first possible position.
-            cut = int(offsets[b]) * 10
-            emit = int(np.searchsorted(positions, cut, side="left"))
-        else:
-            emit = lines.shape[0]
-        pend_lines = lines[emit:]
-        pend_kinds = kinds[emit:]
-        pend_read = read_vertex[emit:]
-        pend_proc = proc_vertex[emit:]
-        pend_pos = positions[emit:]
+        # The span closes before the yield: a consumer's spans must not
+        # nest inside it.
+        with span("sim.trace") as sp:
+            lines, kinds, read_vertex, proc_vertex, positions = _sorted_chunk(
+                pending,
+                _range_parts(graph, space, direction, a, b, promote_sequential, carry),
+            )
+            if b < end:
+                # Hold back the sorted suffix at positions >= the next
+                # chunk's first possible position.
+                cut = int(offsets[b]) * 10
+                emit = int(np.searchsorted(positions, cut, side="left"))
+            else:
+                emit = lines.shape[0]
+            pending = tuple(
+                arr[emit:] for arr in (lines, kinds, read_vertex, proc_vertex, positions)
+            )
+            sp.set(accesses=emit)
 
         if emit:
             yield MemoryTrace(

@@ -9,7 +9,7 @@ kind               payload                       format
 ``graph``          :class:`~repro.graph.graph.Graph` (CSR+CSC)   ``.npz``
 ``reordered-graph``  same, after an RA's relabeling              ``.npz``
 ``reordering``     :class:`~repro.reorder.base.ReorderResult`    ``.npz``
-``simulation``     :class:`StoredSimulation` (trace + hit bits)  ``.npz``
+``simulation``     :class:`StoredSimulation` (counts, snapshots) ``.npz``
 ``json``           JSON documents (report data, manifests)       ``.json``
 =================  ============================  =========
 
@@ -32,10 +32,8 @@ from repro.errors import StoreError
 from repro.graph.graph import Graph
 from repro.graph.io import load_graph_npz, save_graph_npz
 from repro.reorder.base import ReorderResult
-from repro.sim.address_space import AddressSpace
 from repro.sim.cache import CacheSnapshot
 from repro.sim.simulator import SimulationConfig, SimulationResult
-from repro.sim.trace import MemoryTrace
 
 __all__ = [
     "Serializer",
@@ -158,27 +156,24 @@ class StoredSimulation:
 
     The graph is itself a stored artifact and the config is re-derived
     deterministically by the pipeline, so the simulation artifact keeps
-    only what the simulator produced: the interleaved trace, per-access
-    hit bits and thread attribution, ECS snapshots (flattened with
-    lengths), TLB misses and partition boundaries.
+    only what the simulator produced: per-region access and hit counts,
+    per-vertex random-access misses under both attributions, partition
+    boundaries, ECS snapshots (flattened with lengths) and TLB misses.
+    The address space follows from the graph and config.
     """
 
-    lines: np.ndarray
-    kinds: np.ndarray
-    read_vertex: np.ndarray
-    proc_vertex: np.ndarray
-    hits: np.ndarray
-    thread_ids: np.ndarray
+    region_accesses: np.ndarray
+    region_hits: np.ndarray
+    misses_by_read: np.ndarray
+    misses_by_proc: np.ndarray
     partition_boundaries: np.ndarray
     snapshot_indices: np.ndarray
     snapshot_lines: np.ndarray
     snapshot_lengths: np.ndarray
     tlb_misses: int
-    space_params: dict
 
     @classmethod
     def from_result(cls, result: SimulationResult) -> "StoredSimulation":
-        space = result.trace.space
         snapshots = result.snapshots
         lengths = np.asarray(
             [snap.resident_lines.shape[0] for snap in snapshots], dtype=np.int64
@@ -189,12 +184,10 @@ class StoredSimulation:
             else np.zeros(0, dtype=np.int64)
         )
         return cls(
-            lines=result.trace.lines,
-            kinds=result.trace.kinds,
-            read_vertex=result.trace.read_vertex,
-            proc_vertex=result.trace.proc_vertex,
-            hits=result.hits,
-            thread_ids=result.thread_ids,
+            region_accesses=result.region_accesses,
+            region_hits=result.region_hits,
+            misses_by_read=result.misses_by_read,
+            misses_by_proc=result.misses_by_proc,
             partition_boundaries=result.partition_boundaries,
             snapshot_indices=np.asarray(
                 [snap.access_index for snap in snapshots], dtype=np.int64
@@ -202,26 +195,10 @@ class StoredSimulation:
             snapshot_lines=concat,
             snapshot_lengths=lengths,
             tlb_misses=result.tlb_misses,
-            space_params={
-                "num_vertices": space.num_vertices,
-                "num_edges": space.num_edges,
-                "line_size": space.line_size,
-                "offsets_elem": space.offsets_elem,
-                "edges_elem": space.edges_elem,
-                "data_elem": space.data_elem,
-            },
         )
 
     def to_result(self, graph: Graph, config: SimulationConfig) -> SimulationResult:
         """Rebuild the full result in the context of its graph/config."""
-        space = AddressSpace(**self.space_params)
-        trace = MemoryTrace(
-            lines=self.lines,
-            kinds=self.kinds,
-            read_vertex=self.read_vertex,
-            proc_vertex=self.proc_vertex,
-            space=space,
-        )
         snapshots = []
         offset = 0
         for index, length in zip(
@@ -237,9 +214,10 @@ class StoredSimulation:
         return SimulationResult(
             graph=graph,
             config=config,
-            trace=trace,
-            hits=self.hits,
-            thread_ids=self.thread_ids,
+            region_accesses=self.region_accesses,
+            region_hits=self.region_hits,
+            misses_by_read=self.misses_by_read,
+            misses_by_proc=self.misses_by_proc,
             snapshots=snapshots,
             tlb_misses=int(self.tlb_misses),
             partition_boundaries=self.partition_boundaries,
@@ -251,12 +229,10 @@ class SimulationSerializer(Serializer):
     extension = ".npz"
 
     _ARRAYS = (
-        "lines",
-        "kinds",
-        "read_vertex",
-        "proc_vertex",
-        "hits",
-        "thread_ids",
+        "region_accesses",
+        "region_hits",
+        "misses_by_read",
+        "misses_by_proc",
         "partition_boundaries",
         "snapshot_indices",
         "snapshot_lines",
@@ -266,10 +242,7 @@ class SimulationSerializer(Serializer):
     def save(self, obj: Any, path: Path) -> None:
         if not isinstance(obj, StoredSimulation):
             raise StoreError(f"simulation serializer got {type(obj).__name__}")
-        meta = {
-            "tlb_misses": int(obj.tlb_misses),
-            "space_params": jsonify(obj.space_params),
-        }
+        meta = {"tlb_misses": int(obj.tlb_misses)}
         arrays = {name: getattr(obj, name) for name in self._ARRAYS}
         with open(path, "wb") as handle:
             np.savez_compressed(handle, meta=np.asarray(json.dumps(meta)), **arrays)
@@ -283,11 +256,7 @@ class SimulationSerializer(Serializer):
                 )
             arrays = {name: data[name] for name in self._ARRAYS}
             meta = json.loads(str(data["meta"]))
-        return StoredSimulation(
-            tlb_misses=int(meta["tlb_misses"]),
-            space_params=meta["space_params"],
-            **arrays,
-        )
+        return StoredSimulation(tlb_misses=int(meta["tlb_misses"]), **arrays)
 
 
 class JSONSerializer(Serializer):

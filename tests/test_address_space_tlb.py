@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AddressSpace, Region, TLBConfig, lines_to_pages, simulate_tlb
+from repro.sim import (
+    AddressSpace,
+    Region,
+    SetAssociativeCache,
+    TLBConfig,
+    lines_to_pages,
+)
 
 
 class TestAddressSpace:
@@ -93,12 +99,19 @@ class TestTLB:
 
     def test_miss_counting(self):
         config = TLBConfig(entries=4, ways=4, page_size=64)
+
+        def misses(lines):
+            pages = lines_to_pages(np.asarray(lines, dtype=np.int64), 64, 64)
+            return SetAssociativeCache(config.cache_config()).simulate(pages).num_misses
+
         # page per line (page_size == line_size); 5 distinct pages in a
         # 4-entry TLB.
-        out = simulate_tlb(np.arange(5, dtype=np.int64), 64, config)
-        assert out.num_misses == 5
-        out = simulate_tlb(np.array([0, 0, 0], dtype=np.int64), 64, config)
-        assert out.num_misses == 1
+        assert misses(np.arange(5)) == 5
+        assert misses([0, 0, 0]) == 1
+
+    def test_cache_config_is_lru_of_the_tlb_geometry(self):
+        cache = TLBConfig(entries=64, ways=4, page_size=4096).cache_config()
+        assert (cache.num_sets, cache.ways, cache.policy) == (16, 4, "lru")
 
     def test_scaled_for_reach(self):
         config = TLBConfig.scaled_for(100_000, coverage=2.0)

@@ -12,7 +12,7 @@ from repro.core import (
     miss_rate_degree_distribution,
 )
 from repro.graph import Graph, build_graph
-from repro.sim import CacheConfig, Region, spmv_trace
+from repro.sim import CacheConfig, Region, interleaved_trace, spmv_trace
 from repro.sim.cache import SetAssociativeCache
 
 
@@ -88,7 +88,8 @@ class TestExtremeCacheGeometries:
         )
         sim = simulate_spmv(g, config)
         # with everything cached, only cold misses remain
-        assert sim.l3_misses <= len(np.unique(sim.trace.lines))
+        trace, _ = interleaved_trace(g, config)
+        assert sim.l3_misses <= len(np.unique(trace.lines))
 
     def test_more_threads_than_vertices(self):
         g = graph_of(3, [(0, 1), (1, 2)])

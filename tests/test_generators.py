@@ -174,3 +174,13 @@ class TestDatasetRegistry:
             scale_factor()
         monkeypatch.setenv("REPRO_SCALE", "2.0")
         assert scale_factor() == 2.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_scale_env_rejects_non_finite(self, monkeypatch, value):
+        from repro.generate import scale_factor
+
+        monkeypatch.setenv("REPRO_SCALE", value)
+        with pytest.raises(ExperimentError, match="REPRO_SCALE"):
+            scale_factor()
+        with pytest.raises(ExperimentError, match="REPRO_SCALE"):
+            load_dataset("twtr-mini")

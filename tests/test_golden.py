@@ -232,13 +232,11 @@ def test_scale_streamed_golden(golden_rmat, update_golden):
     the round-robin batch cut or the lifetime-position scan and draw
     keying moves one of these numbers and fails here.
     """
-    from repro.sim.simulator import simulate_spmv_streamed
-
     approx_len = golden_rmat.num_edges + golden_rmat.num_vertices // 4
     config = SimulationConfig.scaled_for(
         golden_rmat, scan_interval=max(1, approx_len // 64)
     )
-    result = simulate_spmv_streamed(golden_rmat, config, chunk_accesses=512)
+    result = simulate_spmv(golden_rmat, config, chunk_accesses=512)
     computed = {
         "num_accesses": result.num_accesses,
         "l3_misses": result.l3_misses,

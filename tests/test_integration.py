@@ -17,7 +17,7 @@ from repro import (
 )
 from repro.core import classify_locality_types, miss_rate_degree_distribution
 from repro.graph import apply_to_vertex_data, validate_graph
-from repro.sim import spmv_pull
+from repro.sim import interleaved_trace, spmv_pull
 
 
 @pytest.mark.parametrize("name", sorted(set(algorithm_names())))
@@ -78,9 +78,9 @@ class TestAnalyzerOnReorderedGraphs:
         config = SimulationConfig.scaled_for(small_web)
 
         def spatial_fraction(graph):
-            sim = simulate_spmv(graph, config)
+            trace, thread_ids = interleaved_trace(graph, config)
             counts = classify_locality_types(
-                sim.trace, sim.thread_ids, random_region=sim.random_region
+                trace, thread_ids, random_region=config.random_region
             )
             fractions = counts.fractions()
             return fractions["I"] + fractions["III"]

@@ -24,11 +24,8 @@ from repro.graph import build_graph, random_permutation
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as obs_main
 from repro.obs.export import PhaseSummary, aggregate_phases
-from repro.sim.simulator import (
-    SimulationConfig,
-    simulate_spmv,
-    simulate_spmv_streamed,
-)
+from repro.sim import AddressSpace, spmv_trace_chunks
+from repro.sim.simulator import SimulationConfig, simulate_spmv
 
 
 @pytest.fixture(autouse=True)
@@ -51,11 +48,18 @@ class TestSwitch:
         monkeypatch.setenv(obs.TRACE_ENV, value)
         assert obs.refresh_from_env() is False
 
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", "anything"])
+    @pytest.mark.parametrize("value", ["1", "true", "on", "yes"])
     def test_truthy_env_values_enable(self, monkeypatch, value):
         monkeypatch.setenv(obs.TRACE_ENV, value)
         assert obs.refresh_from_env() is True
         obs.disable()
+
+    @pytest.mark.parametrize("value", ["anything", "maybe", "2"])
+    def test_unknown_env_value_is_a_typed_error(self, monkeypatch, value):
+        monkeypatch.setenv(obs.TRACE_ENV, value)
+        with pytest.raises(ObservabilityError, match="REPRO_TRACE.*'1'.*'0'"):
+            obs.refresh_from_env()
+        assert not obs.enabled()
 
     def test_recording_restores_prior_state(self):
         assert not obs.enabled()
@@ -172,11 +176,11 @@ class TestOverheadGuard:
         assert obs_metrics.registry.snapshot() == {}
 
     def test_disabled_streamed_simulation_allocates_zero_spans(self, ring_graph):
-        """Same guard for the streamed pipeline's per-chunk spans."""
+        """Same guard with many chunks: per-chunk spans cost nothing when off."""
         assert not obs.enabled()
         obs.reset()
         config = SimulationConfig.scaled_for(ring_graph)
-        result = simulate_spmv_streamed(ring_graph, config, chunk_accesses=16)
+        result = simulate_spmv(ring_graph, config, chunk_accesses=16)
         assert result.num_accesses > 0
         counters = obs.debug_counters()
         assert counters["spans_started"] == 0
@@ -185,19 +189,48 @@ class TestOverheadGuard:
         assert obs_metrics.registry.snapshot() == {}
 
     def test_streamed_simulation_spans_each_chunk_replay(self, ring_graph):
-        """Every streamed chunk's L3 and TLB replay gets its own span."""
+        """Every chunk's generation, merge and replay gets its own span."""
         # A short interleave interval lets the tiny ring split into chunks.
         config = dataclasses.replace(
             SimulationConfig.scaled_for(ring_graph), interleave_interval=2
         )
         with obs.recording():
-            result = simulate_spmv_streamed(ring_graph, config, chunk_accesses=16)
+            result = simulate_spmv(ring_graph, config, chunk_accesses=16)
         spans = obs.completed_spans()
-        cache_spans = [r for r in spans if r.name == "sim.cache"]
-        tlb_spans = [r for r in spans if r.name == "sim.tlb"]
-        assert len(cache_spans) > 1
-        assert len(tlb_spans) == len(cache_spans)
-        assert sum(r.attrs["accesses"] for r in cache_spans) == result.num_accesses
+        by_name = {
+            name: [r for r in spans if r.name == name]
+            for name in ("sim.trace", "sim.interleave", "sim.cache", "sim.tlb")
+        }
+        # One merged chunk: one interleave, one L3 and one TLB span.
+        assert len(by_name["sim.cache"]) > 1
+        assert len(by_name["sim.interleave"]) == len(by_name["sim.cache"])
+        assert len(by_name["sim.tlb"]) == len(by_name["sim.cache"])
+        # One generated trace chunk: one trace span (every ring vertex
+        # has an edge, so every generation step yields a chunk).
+        space = AddressSpace(ring_graph.num_vertices, ring_graph.num_edges)
+        bounds = result.partition_boundaries
+        expected_chunks = sum(
+            len(
+                list(
+                    spmv_trace_chunks(
+                        ring_graph,
+                        space,
+                        vertex_range=(int(bounds[t]), int(bounds[t + 1])),
+                        max_accesses=16 // config.num_threads,
+                    )
+                )
+            )
+            for t in range(config.num_threads)
+        )
+        assert len(by_name["sim.trace"]) == expected_chunks > 1
+        for name in ("sim.trace", "sim.interleave", "sim.cache"):
+            records = by_name[name]
+            assert sum(r.attrs["accesses"] for r in records) == result.num_accesses
+        # No span is open across a yield: every per-chunk span is a
+        # direct child of the one simulation span.
+        (root,) = [r for r in spans if r.name == "sim.spmv"]
+        for records in by_name.values():
+            assert {r.parent_id for r in records} == {root.span_id}
 
     def test_disabled_graph_build_and_permute_allocate_zero_spans(self):
         """The graph.build and graph.permute spans cost nothing when off."""

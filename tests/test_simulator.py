@@ -10,6 +10,7 @@ from repro.sim import (
     SimulationConfig,
     TLBConfig,
     TimingModel,
+    interleaved_trace,
     simulate_spmv,
 )
 
@@ -22,7 +23,9 @@ def web_sim(small_web):
 
 class TestCounters:
     def test_access_accounting(self, web_sim):
-        assert web_sim.num_accesses == len(web_sim.trace)
+        trace, _ = interleaved_trace(web_sim.graph, web_sim.config)
+        assert web_sim.num_accesses == len(trace)
+        assert web_sim.num_accesses == int(web_sim.region_accesses.sum())
         assert 0 <= web_sim.l3_misses <= web_sim.num_accesses
 
     def test_random_access_count(self, web_sim, small_web):
@@ -145,4 +148,5 @@ class TestLocalityOrdering:
         a = simulate_spmv(small_web, config)
         b = simulate_spmv(small_web, config)
         assert a.l3_misses == b.l3_misses
-        assert np.array_equal(a.hits, b.hits)
+        assert np.array_equal(a.region_hits, b.region_hits)
+        assert np.array_equal(a.misses_by_proc, b.misses_by_proc)

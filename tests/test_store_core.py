@@ -21,6 +21,7 @@ from repro.store import (
     get_serializer,
     verify_store,
 )
+from repro.store.serializers import SimulationSerializer
 
 
 @pytest.fixture
@@ -76,8 +77,19 @@ class TestRoundTrips:
         store.put(_key(4), "simulation", StoredSimulation.from_result(result))
         loaded = store.get(_key(4), "simulation")
         rebuilt = loaded.to_result(two_hop_ring, config)
-        assert np.array_equal(rebuilt.hits, result.hits)
-        assert np.array_equal(rebuilt.trace.lines, result.trace.lines)
+        for name in (
+            "region_accesses",
+            "region_hits",
+            "misses_by_read",
+            "misses_by_proc",
+            "partition_boundaries",
+        ):
+            assert np.array_equal(getattr(rebuilt, name), getattr(result, name))
+        for by in ("read", "proc"):
+            assert np.array_equal(
+                rebuilt.random_stats(by).misses, result.random_stats(by).misses
+            )
+        assert rebuilt.traversal_time_ms() == result.traversal_time_ms()
         assert rebuilt.tlb_misses == result.tlb_misses
         assert rebuilt.l3_misses == result.l3_misses
         assert len(rebuilt.snapshots) == len(result.snapshots)
@@ -85,6 +97,29 @@ class TestRoundTrips:
             assert a.access_index == b.access_index
             assert np.array_equal(a.resident_lines, b.resident_lines)
         assert rebuilt.effective_cache_size() == result.effective_cache_size()
+
+    def test_simulation_serializer_round_trip_and_old_format(
+        self, tmp_path, two_hop_ring
+    ):
+        config = SimulationConfig.scaled_for(two_hop_ring, scan_interval=16)
+        stored = StoredSimulation.from_result(simulate_spmv(two_hop_ring, config))
+        serializer = get_serializer("simulation")
+        path = tmp_path / "sim.npz"
+        serializer.save(stored, path)
+        loaded = serializer.load(path)
+        assert loaded.tlb_misses == stored.tlb_misses
+        for name in SimulationSerializer._ARRAYS:
+            assert np.array_equal(getattr(loaded, name), getattr(stored, name)), name
+        # An artifact in the trace-keeping format lacks the sums.
+        old = tmp_path / "old.npz"
+        np.savez_compressed(
+            old,
+            meta=np.asarray(json.dumps({"tlb_misses": 0})),
+            lines=np.zeros(3, dtype=np.int64),
+            hits=np.zeros(3, dtype=np.uint8),
+        )
+        with pytest.raises(StoreError, match="misses_by_read"):
+            serializer.load(old)
 
     def test_wrong_type_rejected_at_write(self, store, tiny_graph):
         with pytest.raises(StoreError):

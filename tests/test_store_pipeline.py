@@ -112,8 +112,9 @@ class TestWarmRunsAreCached:
     def test_simulation_results_identical_cold_vs_warm(self, store):
         cold = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
         warm = Workloads(store=store).simulation(_DATASET, "degree", with_scans=False)
-        assert np.array_equal(warm.hits, cold.hits)
-        assert np.array_equal(warm.trace.lines, cold.trace.lines)
+        assert np.array_equal(warm.region_hits, cold.region_hits)
+        assert np.array_equal(warm.misses_by_read, cold.misses_by_read)
+        assert np.array_equal(warm.misses_by_proc, cold.misses_by_proc)
         assert warm.l3_misses == cold.l3_misses
         assert warm.tlb_misses == cold.tlb_misses
 

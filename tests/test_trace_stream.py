@@ -1,20 +1,18 @@
 """Property tests: the streaming trace pipeline is bit-exact.
 
-The scale tier replaces materialize-everything stages with bounded
-streams — :func:`spmv_trace_chunks` for trace generation,
-:func:`interleave_stream` for the round-robin merge, and
-:func:`simulate_spmv_streamed` for the whole pipeline.  Their contract
-is not "approximately the same": every array they produce must equal
-the materializing reference bit for bit, for any chunk size, thread
-count and interval.  These tests pin that equivalence across randomized
+The simulator runs on bounded streams — :func:`spmv_trace_chunks` for
+trace generation, :func:`interleave_stream` for the round-robin merge,
+and :func:`simulate_spmv` for the whole pipeline.  Their contract is
+not "approximately the same": every array they produce must equal the
+materializing reference bit for bit, for any chunk size, thread count
+and interval.  The reference for :func:`simulate_spmv` lives here: one
+replay of :func:`interleaved_trace` through fresh caches.  These tests pin that equivalence across randomized
 RMAT graphs, both traversal directions, chunk sizes down to 1 access,
 and the chunk-boundary edge cases (zero-degree runs, a boundary inside
 one vertex's access burst, finished-early threads).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -26,10 +24,17 @@ from repro.generate.rmat import rmat_edges
 from repro.graph import Graph, build_graph
 from repro.sim import (
     AddressSpace,
+    CacheConfig,
+    Region,
+    SetAssociativeCache,
     SimulationConfig,
+    TLBConfig,
+    attribute_random_accesses,
     concatenate_traces,
     interleave_stream,
     interleave_traces,
+    interleaved_trace,
+    lines_to_pages,
     simulate_spmv,
     simulate_spmv_streamed,
     spmv_trace,
@@ -207,55 +212,111 @@ class TestInterleaveStream:
             next(iter(interleave_stream(source, 4, batch_accesses=0)))
 
 
+def _replay_oracle(graph: Graph, config: SimulationConfig) -> dict:
+    """One replay of the whole interleaved trace through fresh caches.
+
+    The reference :func:`simulate_spmv` is held to: it materializes the
+    trace, replays it in one call through a fresh L3 and a fresh LRU TLB,
+    and attributes the random accesses with the per-access
+    :func:`attribute_random_accesses`.
+    """
+    trace, _ = interleaved_trace(graph, config)
+    outcome = SetAssociativeCache(config.cache).simulate(
+        trace.lines, scan_interval=config.scan_interval
+    )
+    tlb = config.tlb
+    tlb_cache = SetAssociativeCache(
+        CacheConfig(num_sets=tlb.entries // tlb.ways, ways=tlb.ways, policy="lru")
+    )
+    pages = lines_to_pages(trace.lines, config.cache.line_size, tlb.page_size)
+    hit = outcome.hits.astype(bool)
+    random_region = (
+        Region.VERTEX_DATA if config.direction == "pull" else Region.VERTEX_OUT
+    )
+    return {
+        "region_accesses": np.bincount(trace.kinds, minlength=Region.COUNT),
+        "region_hits": np.bincount(trace.kinds[hit], minlength=Region.COUNT),
+        "snapshots": outcome.snapshots,
+        "tlb_misses": tlb_cache.simulate(pages).num_misses,
+        "boundaries": edge_balanced_partitions(
+            graph, config.num_threads, direction=config.direction
+        ),
+        "stats": {
+            by: attribute_random_accesses(
+                trace,
+                outcome.hits,
+                graph.num_vertices,
+                by=by,
+                random_region=random_region,
+            )
+            for by in ("read", "proc")
+        },
+    }
+
+
 class TestStreamedSimulator:
+    """``simulate_spmv`` replays in chunks; the oracle replays the whole trace."""
+
+    POLICIES = ("lru", "srrip", "brrip", "drrip")
+
     @pytest.fixture(scope="class")
     def graph(self):
         return _rmat(5, log_scale=9, num_edges=4000)
 
     @pytest.fixture(scope="class")
-    def config(self, graph):
+    def configs(self, graph):
+        # 64 sets x 2 ways holds well under the ~10^4-line working set,
+        # and 64 sets give DRRIP one leader pair per 32 sets to duel on.
         approx = graph.num_edges + graph.num_vertices // 4
-        return SimulationConfig.scaled_for(
-            graph, scan_interval=max(1, approx // 16)
-        )
-
-    @pytest.fixture(scope="class")
-    def references(self, graph, config):
         return {
-            direction: simulate_spmv(
-                graph, dataclasses.replace(config, direction=direction)
+            (policy, direction): SimulationConfig(
+                cache=CacheConfig(num_sets=64, ways=2, policy=policy, seed=3),
+                tlb=TLBConfig(entries=8, ways=2, page_size=512),
+                scan_interval=max(1, approx // 16),
+                direction=direction,
             )
+            for policy in self.POLICIES
             for direction in ("pull", "push")
         }
 
-    @pytest.mark.parametrize("direction", ["pull", "push"])
-    @pytest.mark.parametrize("chunk_accesses", [1 << 20, 997, 1 << 12, 1 << 13])
-    def test_matches_materialized_simulation(
-        self, graph, config, references, chunk_accesses, direction
-    ):
-        config = dataclasses.replace(config, direction=direction)
-        reference = references[direction]
-        streamed = simulate_spmv_streamed(
-            graph, config, chunk_accesses=chunk_accesses
-        )
-        assert streamed.num_accesses == reference.num_accesses
-        assert streamed.l3_misses == reference.l3_misses
-        assert streamed.tlb_misses == reference.tlb_misses
-        assert streamed.random_accesses == reference.random_accesses
-        assert streamed.random_misses == reference.random_misses
-        np.testing.assert_array_equal(
-            streamed.partition_boundaries, reference.partition_boundaries
-        )
-        assert len(streamed.snapshots) == len(reference.snapshots)
-        for got, want in zip(streamed.snapshots, reference.snapshots):
-            assert got.access_index == want.access_index
-            np.testing.assert_array_equal(
-                got.resident_lines, want.resident_lines
-            )
-        assert streamed.effective_cache_size() == pytest.approx(
-            reference.effective_cache_size()
-        )
+    @pytest.fixture(scope="class")
+    def oracles(self, graph, configs):
+        return {key: _replay_oracle(graph, config) for key, config in configs.items()}
 
-    def test_config_kwargs_are_exclusive(self, graph, config):
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    @pytest.mark.parametrize("chunk_accesses", [1 << 20, 997, 1 << 12, 1 << 13, 1])
+    def test_matches_materialized_simulation(
+        self, graph, configs, oracles, chunk_accesses, direction
+    ):
+        for policy in self.POLICIES:
+            config = configs[(policy, direction)]
+            want = oracles[(policy, direction)]
+            got = simulate_spmv(graph, config, chunk_accesses=chunk_accesses)
+            np.testing.assert_array_equal(got.region_accesses, want["region_accesses"])
+            np.testing.assert_array_equal(got.region_hits, want["region_hits"])
+            assert got.tlb_misses == want["tlb_misses"], policy
+            np.testing.assert_array_equal(
+                got.partition_boundaries, want["boundaries"]
+            )
+            assert len(got.snapshots) == len(want["snapshots"]) > 1
+            for mine, theirs in zip(got.snapshots, want["snapshots"]):
+                assert mine.access_index == theirs.access_index
+                np.testing.assert_array_equal(
+                    mine.resident_lines, theirs.resident_lines
+                )
+            for by, stats in want["stats"].items():
+                np.testing.assert_array_equal(
+                    got.random_stats(by).accesses, stats.accesses
+                )
+                np.testing.assert_array_equal(got.random_stats(by).misses, stats.misses)
+            assert got.random_misses == want["stats"]["read"].total_misses
+            assert got.l3_misses == int(
+                want["region_accesses"].sum() - want["region_hits"].sum()
+            )
+
+    def test_config_kwargs_are_exclusive(self, graph):
         with pytest.raises(SimulationError):
-            simulate_spmv_streamed(graph, config, pressure=0.5)
+            simulate_spmv(graph, SimulationConfig.scaled_for(graph), pressure=0.5)
+
+    def test_streamed_name_is_an_alias(self):
+        assert simulate_spmv_streamed is simulate_spmv
